@@ -160,6 +160,65 @@ func TestColumnarRescaleAtCut(t *testing.T) {
 	}
 }
 
+// TestColumnarCrashRecovery crashes recoverable bolts in process while
+// their input arrives as column batches: generated Queries IV and VI
+// with recovery and the columnar transport on, one injected crash per
+// run on instance 0 of each aligned bolt at a few event indices. The
+// merger holds the batches whole as its replay buffer, so a restart
+// replays them; every recovered sink trace must equal the crash-free
+// boxed (NoColumnar) oracle. The plan must select columnar edges and
+// every run must restart, so the pass is not vacuous.
+func TestColumnarCrashRecovery(t *testing.T) {
+	for _, q := range []string{"IV", "VI"} {
+		t.Run("Query"+q, func(t *testing.T) {
+			def, err := ByName(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := Spec{Query: q, Variant: Generated, Par: 2, SourcePar: 2, Recovery: true}
+			oracleSpec := spec
+			oracleSpec.NoColumnar = true
+			oracle, err := Run(testEnv(t), oracleSpec)
+			if err != nil {
+				t.Fatalf("boxed oracle: %v", err)
+			}
+			build := func() *storm.Topology {
+				t.Helper()
+				env := testEnv(t)
+				top, plan, err := buildWith(env, spec, def, def.Sources(env, spec.SourcePar), def.ColSources(env, spec.SourcePar), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(plan.ColumnarEdges) == 0 {
+					t.Fatalf("no columnar edges selected, plan:\n%s", plan)
+				}
+				return top
+			}
+			sinkType := def.SinkType(testEnv(t))
+			for _, c := range build().Components() {
+				if c.Kind == "spout" {
+					continue // compiled bolts and sinks are all aligned
+				}
+				for _, at := range []int64{1, 9, 60} {
+					top := build()
+					top.SetFaultPlan(storm.NewFaultPlan().CrashAt(c.Name, 0, at))
+					res, err := top.Run()
+					if err != nil {
+						t.Fatalf("crash of %s at %d: %v", c.Name, at, err)
+					}
+					if restarts, _, _ := res.Stats.Recovery(); restarts < 1 {
+						t.Fatalf("crash of %s at %d: no restart recorded", c.Name, at)
+					}
+					if !stream.Equivalent(sinkType, res.Sinks["sink"], oracle.Sinks["sink"]) {
+						t.Fatalf("crash of %s at %d: recovered columnar trace differs from the boxed oracle (%d vs %d events)",
+							c.Name, at, len(res.Sinks["sink"]), len(oracle.Sinks["sink"]))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestColumnarChaosWorkerKill SIGKILLs a worker of a networked Query
 // IV cluster whose edges are columnar (the default) and checks that
 // the recovered, replayed, spliced output equals an undisturbed BOXED

@@ -95,7 +95,8 @@ func (ns NetSpec) build() (*storm.Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildWith(env, ns.Spec, def, def.Sources(env, ns.SourcePar), def.ColSources(env, ns.SourcePar), ns.Workers)
+	top, _, err := buildWith(env, ns.Spec, def, def.Sources(env, ns.SourcePar), def.ColSources(env, ns.SourcePar), ns.Workers)
+	return top, err
 }
 
 // RunWorkerIfSpawned turns this process into a networked worker when

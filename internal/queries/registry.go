@@ -190,7 +190,7 @@ func RunOn(env *Env, spec Spec, parts [][]stream.Event) (*storm.Result, error) {
 }
 
 func runWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols []*workload.YahooColSource) (*storm.Result, error) {
-	top, err := buildWith(env, spec, def, sources, cols, 0)
+	top, _, err := buildWith(env, spec, def, sources, cols, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -202,8 +202,9 @@ func runWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols []*
 // builds with its worker count and serves its share; see netrun.go).
 // cols, when non-nil, provides the generator-backed columnar source
 // spouts the Generated variant prefers unless spec.NoColumnar is set;
-// explicit-input runs (RunOn) pass nil and keep boxed sources.
-func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols []*workload.YahooColSource, workers int) (*storm.Topology, error) {
+// explicit-input runs (RunOn) pass nil and keep boxed sources. The
+// compiler's plan is returned for the Generated variant, nil otherwise.
+func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols []*workload.YahooColSource, workers int) (*storm.Topology, *compile.Plan, error) {
 	if spec.Par < 1 {
 		spec.Par = 1
 	}
@@ -234,7 +235,7 @@ func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols [
 			srcSpec.Cols = cols[0].ColKind()
 			srcSpec.Factory = func(i int) storm.Spout { return cols[i] }
 		}
-		return compile.Compile(dag, map[string]compile.SourceSpec{"yahoo": srcSpec}, opts)
+		return compile.CompileWithPlan(dag, map[string]compile.SourceSpec{"yahoo": srcSpec}, opts)
 	case Handcrafted:
 		top := def.Handcrafted(env, spec.Par, sources)
 		if spec.Obs {
@@ -256,9 +257,9 @@ func buildWith(env *Env, spec Spec, def Def, sources []workload.Iterator, cols [
 		if workers > 0 {
 			top.SetWorkers(workers)
 		}
-		return top, nil
+		return top, nil, nil
 	default:
-		return nil, fmt.Errorf("queries: unknown variant %q", spec.Variant)
+		return nil, nil, fmt.Errorf("queries: unknown variant %q", spec.Variant)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func rescaleProbe(t *testing.T, def Def, spec Spec) (target string, components []string) {
 	t.Helper()
 	env := testEnv(t)
-	top, err := buildWith(env, spec, def, def.Sources(env, spec.SourcePar), def.ColSources(env, spec.SourcePar), 0)
+	top, _, err := buildWith(env, spec, def, def.Sources(env, spec.SourcePar), def.ColSources(env, spec.SourcePar), 0)
 	if err != nil {
 		t.Fatalf("probe build: %v", err)
 	}

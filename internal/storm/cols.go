@@ -321,10 +321,18 @@ func (em *emitter) drainColComb(b *outBuf) {
 // ---------------------------------------------------------------------------
 
 // colEntry is one buffered unit of a colMerge channel: a boxed event
-// or a column batch.
+// (item or marker) or a column batch of items.
 type colEntry struct {
 	ev   stream.Event
 	cols stream.Columns
+}
+
+// rows is the number of events the entry denotes.
+func (it colEntry) rows() int {
+	if it.cols != nil {
+		return it.cols.Len()
+	}
+	return 1
 }
 
 type colBlock struct {
@@ -332,19 +340,21 @@ type colBlock struct {
 	mark  stream.Marker
 }
 
-// colMerge is the MRG merger for inputs that interleave boxed events
-// and column batches. It mirrors stream.MergeState exactly — blocks
-// close on markers, a block flushes when every channel closed it, the
-// merged marker carries the maximum timestamp, and a block pops only
-// after full delivery — but buffers batches whole, so alignment does
-// not force reboxing. Only the non-recoverable executor path uses it;
-// the marker-cut recovery path unboxes batches at arrival and keeps
-// stream.MergeState as its replay buffer.
+// colMerge is the runtime's MRG merger. It follows the reference merger
+// of internal/stream, which its differential fuzz target compares it
+// against: blocks close on markers, a block flushes when every channel
+// closed it, and the merged marker carries the maximum timestamp. It
+// buffers column batches whole, so alignment does not force reboxing,
+// and it pops a block only after the block and its marker were fully
+// delivered, releasing the block's batches then. Until that pop every
+// received entry stays valid in Pending, which makes the merger the
+// replay buffer of marker-cut recovery.
 type colMerge struct {
 	n      int
 	queued [][]colBlock
 	open   [][]colEntry
-	// dev/dcols deliver one merged boxed event / column batch.
+	// dev/dcols deliver one merged boxed event / column batch; dcols
+	// must not release the batch (the merger does).
 	dev   func(stream.Event)
 	dcols func(stream.Columns)
 }
@@ -359,77 +369,87 @@ func newColMerge(n int, dev func(stream.Event), dcols func(stream.Columns)) *col
 	}
 }
 
-// Next consumes one boxed event from channel ch.
-func (m *colMerge) Next(ch int, e stream.Event) {
-	if !e.IsMarker {
-		m.open[ch] = append(m.open[ch], colEntry{ev: e})
+// Next consumes one entry from channel ch, taking ownership of a
+// column batch. A marker closes the channel's open block and flushes
+// every block that is then complete on all channels.
+func (m *colMerge) Next(ch int, it colEntry) {
+	if it.cols != nil || !it.ev.IsMarker {
+		m.open[ch] = append(m.open[ch], it)
 		return
 	}
-	m.queued[ch] = append(m.queued[ch], colBlock{items: m.open[ch], mark: e.Marker})
+	m.queued[ch] = append(m.queued[ch], colBlock{items: m.open[ch], mark: it.ev.Marker})
 	m.open[ch] = nil
-	m.advance()
-}
-
-// NextCols consumes one column batch from channel ch, taking ownership
-// (the batch is released after its block's delivery).
-func (m *colMerge) NextCols(ch int, c stream.Columns) {
-	m.open[ch] = append(m.open[ch], colEntry{cols: c})
-}
-
-func (m *colMerge) advance() {
-	for {
-		for _, q := range m.queued {
-			if len(q) == 0 {
-				return
-			}
-		}
+	for m.complete() {
 		mark := m.queued[0][0].mark
 		for ch := range m.queued {
 			b := m.queued[ch][0]
-			for _, it := range b.items {
-				if it.cols != nil {
-					m.dcols(it.cols)
-				} else {
-					m.dev(it.ev)
-				}
-			}
+			m.deliver(b.items)
 			if b.mark.Timestamp > mark.Timestamp {
 				mark = b.mark
 			}
 		}
 		m.dev(stream.Mark(mark))
 		for ch := range m.queued {
+			for _, it := range m.queued[ch][0].items {
+				if it.cols != nil {
+					it.cols.Release()
+				}
+			}
 			m.queued[ch][0] = colBlock{}
 			m.queued[ch] = m.queued[ch][1:]
 		}
 	}
 }
 
+// complete reports whether every channel has closed its head block.
+func (m *colMerge) complete() bool {
+	for _, q := range m.queued {
+		if len(q) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *colMerge) deliver(items []colEntry) {
+	for _, it := range items {
+		if it.cols != nil {
+			m.dcols(it.cols)
+		} else {
+			m.dev(it.ev)
+		}
+	}
+}
+
 // Trailing delivers every entry still buffered at end-of-stream —
 // closed-but-incomplete blocks, then each channel's open block —
-// without synthesizing the missing markers (the columnar analogue of
-// stream.MergeState.Trailing).
+// without synthesizing the missing markers, as the reference merger's
+// Trailing does. Nothing is popped, so Pending still returns the
+// input if the delivery fails.
 func (m *colMerge) Trailing() {
-	for ch := range m.queued {
+	for _, q := range m.queued {
+		for _, b := range q {
+			m.deliver(b.items)
+		}
+	}
+	for _, open := range m.open {
+		m.deliver(open)
+	}
+}
+
+// Pending returns, per channel, every entry the merger has not yet
+// flushed: the items and markers of the queued blocks followed by the
+// open block's items. Feeding each sequence into a fresh merger on the
+// same channel reproduces this merger's state; the batches move with
+// the entries, so the old merger must not be used afterwards.
+func (m *colMerge) Pending() [][]colEntry {
+	out := make([][]colEntry, m.n)
+	for ch := range out {
 		for _, b := range m.queued[ch] {
-			for _, it := range b.items {
-				if it.cols != nil {
-					m.dcols(it.cols)
-				} else {
-					m.dev(it.ev)
-				}
-			}
+			out[ch] = append(out[ch], b.items...)
+			out[ch] = append(out[ch], colEntry{ev: stream.Mark(b.mark)})
 		}
-		m.queued[ch] = nil
+		out[ch] = append(out[ch], m.open[ch]...)
 	}
-	for ch, open := range m.open {
-		for _, it := range open {
-			if it.cols != nil {
-				m.dcols(it.cols)
-			} else {
-				m.dev(it.ev)
-			}
-		}
-		m.open[ch] = nil
-	}
+	return out
 }

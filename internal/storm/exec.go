@@ -296,14 +296,10 @@ func (t *Topology) execute(rts map[string]*runtimeComponent) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			run := func() error {
-				switch {
-				case rc.spout != nil:
+				if rc.spout != nil {
 					return runSpout(rc, i, is, hash, ef, t.recovery, cg, g)
-				case t.recovery.Enabled && rc.aligned:
-					return runRecoverableBolt(rc, i, is, hash, ef, t.recovery, cg, g)
-				default:
-					return runBolt(rc, i, is, hash, ef, t.recovery)
 				}
+				return runBolt(rc, i, is, hash, ef, t.recovery, cg, g)
 			}
 			var err error
 			if t.obs.Enabled {
@@ -612,6 +608,18 @@ func guard(component string, instance int, fn func()) (err error) {
 	return nil
 }
 
+// runSpout is the executor loop of every spout instance. A ColSpout
+// fills typed batches while items are available (no per-event boxing,
+// one emitCols per batch); markers and end-of-stream come through Next.
+// Each iteration is one step: a batch or one boxed event. Clock reads
+// and counter updates amortize over a stride of steps — on a fast
+// source the clock is a measurable share of the loop. The stride
+// doubles while a chunk completes well inside the idle-flush interval
+// (so the staleness of tickAt's anchor cannot delay an idle flush by
+// more than ~the interval itself) and collapses to one step as soon
+// as a chunk runs long, which is exactly the throttled-spout case
+// where flush timeliness matters. Observability pins the stride at
+// one step: each step is stamped and observed on its own.
 func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
 	em := newEmitter(rc, instance, is, hash)
 	em.faults = ef
@@ -619,134 +627,77 @@ func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, has
 		g.em = em
 		defer cg.leave(g)
 	}
-	// mark records one emitted (and flushed) marker: a completed cut
-	// from the source's point of view, and the spout's barrier entry
-	// point — after the marker every buffer of this emitter is empty.
-	mark := func() {
-		is.AddCuts(1)
-		if g != nil {
-			cg.cutDone(g)
-		}
-	}
 	err := guard(rc.name, instance, func() {
 		spout := rc.spout(instance)
-		if em.stamp {
-			// Observability needs exact per-event latency: one clock
-			// read per iteration (each loop's end time is the next
-			// loop's start, as exact as two reads at half the cost).
-			t0 := time.Now()
-			for {
-				em.now = t0.UnixNano()
-				// Idle flush between Next calls: a throttled spout
-				// parked inside Next cannot flush, but one that merely
-				// produces slower than BatchSize per interval bounds its
-				// residency here.
-				em.tickAt(t0)
-				e, ok := spout.Next()
-				if !ok {
-					is.AddBusy(time.Since(t0))
-					break
-				}
-				is.AddExecuted(1)
-				ef.onEvent(rc.name, instance)
-				em.emit(e)
-				if e.IsMarker {
-					mark()
-				}
-				t1 := time.Now()
-				d := t1.Sub(t0)
-				is.AddBusy(d)
-				is.ObserveExec(t0, d)
-				t0 = t1
-			}
-			return
-		}
-		// Columnar fast path (observability off): a ColSpout fills typed
-		// batches directly — no per-event boxing, one emitCols per
-		// batch, clock reads amortized per batch. Markers and EOS come
-		// through Next (NextCols returns 0 there), so punctuation and
-		// shutdown keep the boxed path's exact behavior, cut accounting
-		// included. Observability needs per-event stamps and latency, so
-		// it keeps the boxed loop.
-		if cs, isCol := spout.(ColSpout); isCol && !em.stamp {
-			if kind := cs.ColKind(); kind != nil {
-				batch := kind.Get()
-				t0 := time.Now()
-				for {
-					em.tickAt(t0)
-					if n := cs.NextCols(batch, em.batchSize); n > 0 {
-						if ef != nil {
-							for i := 0; i < n; i++ {
-								ef.onEvent(rc.name, instance)
-							}
-						}
-						is.AddExecuted(int64(n))
-						em.emitCols(batch)
-						batch = kind.Get()
-						t1 := time.Now()
-						is.AddBusy(t1.Sub(t0))
-						t0 = t1
-						continue
-					}
-					e, ok := spout.Next()
-					if !ok {
-						is.AddBusy(time.Since(t0))
-						break
-					}
-					is.AddExecuted(1)
-					ef.onEvent(rc.name, instance)
-					em.emit(e)
-					if e.IsMarker {
-						mark()
-					}
-					t1 := time.Now()
-					is.AddBusy(t1.Sub(t0))
-					t0 = t1
-				}
-				batch.Release()
-				return
+		cs, _ := spout.(ColSpout)
+		var kind *stream.ColKind
+		var batch stream.Columns
+		if cs != nil {
+			if kind = cs.ColKind(); kind != nil {
+				batch = kind.Get()
 			}
 		}
-		// Fast path (observability off): clock reads and counter updates
-		// amortize over chunks of events — on a fast source the clock is
-		// a measurable share of the loop. The stride adapts: it doubles
-		// while a whole chunk completes well inside the idle-flush
-		// interval (so the staleness of tickAt's anchor cannot delay an
-		// idle flush by more than ~the interval itself) and collapses to
-		// per-event as soon as a chunk runs long, which is exactly the
-		// throttled-spout case where flush timeliness matters. Busy time
-		// is identical in aggregate: chunk spans concatenate.
 		const maxStride = 32
-		stride, n := 1, 0
+		stride, steps, n := 1, 0, int64(0)
 		t0 := time.Now()
 		for {
+			if em.stamp {
+				em.now = t0.UnixNano()
+			}
+			// Idle flush between steps: a throttled spout parked inside
+			// Next cannot flush, but one that merely produces slower
+			// than BatchSize per interval bounds its residency here.
 			em.tickAt(t0)
-			e, ok := spout.Next()
-			if !ok {
-				if n > 0 {
-					is.AddExecuted(int64(n))
+			rows := 0
+			if kind != nil {
+				rows = cs.NextCols(batch, em.batchSize)
+			}
+			if rows > 0 {
+				if ef != nil {
+					for i := 0; i < rows; i++ {
+						ef.onEvent(rc.name, instance)
+					}
 				}
-				is.AddBusy(time.Since(t0))
-				break
+				n += int64(rows)
+				em.emitCols(batch)
+				batch = kind.Get()
+			} else {
+				e, ok := spout.Next()
+				if !ok {
+					break
+				}
+				ef.onEvent(rc.name, instance)
+				n++
+				em.emit(e)
+				if e.IsMarker {
+					// A completed cut from the source's point of view, and
+					// the spout's barrier entry point: after the marker
+					// every buffer of this emitter is empty.
+					is.AddCuts(1)
+					if g != nil {
+						cg.cutDone(g)
+					}
+				}
 			}
-			ef.onEvent(rc.name, instance)
-			em.emit(e)
-			if e.IsMarker {
-				mark()
-			}
-			if n++; n >= stride {
+			if steps++; steps >= stride {
 				t1 := time.Now()
 				d := t1.Sub(t0)
 				is.AddBusy(d)
-				is.AddExecuted(int64(n))
-				if em.flushEvery > 0 && d > em.flushEvery/2 {
+				is.AddExecuted(n)
+				if em.stamp {
+					is.ObserveExec(t0, d)
+				} else if em.flushEvery > 0 && d > em.flushEvery/2 {
 					stride = 1
 				} else if stride < maxStride {
 					stride *= 2
 				}
-				n = 0
-				t0 = t1
+				steps, n, t0 = 0, 0, t1
 			}
+		}
+		is.AddExecuted(n)
+		is.AddBusy(time.Since(t0))
+		if batch != nil {
+			batch.Release()
 		}
 	})
 	if err != nil && pol.Enabled && pol.OnUnrecoverable == DropAndLog {
@@ -760,241 +711,355 @@ func runSpout(rc *runtimeComponent, instance int, is *metrics.InstanceStats, has
 	return err
 }
 
-func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy) error {
-	em := newEmitter(rc, instance, is, hash)
-	em.faults = ef
-	var bolt Bolt
-	if rc.isSink {
-		bolt = BoltFunc(func(e stream.Event, emit func(stream.Event)) {
-			rc.appendSink(e)
-		})
+// boltExec is the state of one bolt (or sink) executor. Every bolt
+// runs the same receive loop (runBolt); what differs is chosen once at
+// start:
+//
+//   - input: an aligned executor feeds the MRG merger (colMerge); a
+//     raw one hands events and batches to the bolt as they arrive.
+//   - recovery (aligned bolts under an enabled RecoveryPolicy, see
+//     recovery.go): output is buffered per block and flushed
+//     transactionally at the cut, the instance is snapshotted there,
+//     and a crash restarts it and replays the merger's pending input.
+//     Batches then reach the bolt row by row, so every emission goes
+//     through the block buffer.
+//   - degradation: after an unrecoverable failure under DropAndLog the
+//     executor drops items and forwards deduplicated markers
+//     (degradeState); otherwise the failure is fatal and the executor
+//     only drains its input to EOS.
+//   - observation: with observability off, one guard and one clock
+//     pair cover a whole received vector; with it on, every message
+//     is stamped, timed and sampled on its own.
+type boltExec struct {
+	rc       *runtimeComponent
+	instance int
+	is       *metrics.InstanceStats
+	em       *emitter
+	ef       *executorFaults
+	pol      RecoveryPolicy
+	// cg/g are the run's reconfiguration barrier and this executor's
+	// entry (rescale.go); g is nil when the run cannot host rescales.
+	cg *cutGate
+	g  *execGate
+
+	bolt Bolt
+	// emitFn is the bolt's emit target: the emitter, the sink's output,
+	// or (under recovery) the block buffer.
+	emitFn func(stream.Event)
+	// chBolt is set on raw inputs when the bolt wants channel indexes.
+	chBolt ChannelBolt
+	// cp consumes whole batches of inKind (nil under recovery, whose
+	// emissions must all pass through the block buffer).
+	cp              ColProcessor
+	inKind, outKind *stream.ColKind
+	// merge is the MRG merger of an aligned executor, nil on raw inputs.
+	merge *colMerge
+	// eosLeft counts input channels still open; a rescale barrier that
+	// widens the input resets it (no channel has closed at a barrier).
+	eosLeft int
+	// retired is set when a rescale replaced this executor's component
+	// instance set: exit without finishing or propagating EOS.
+	retired bool
+	// unfed is true while an input message's fault hooks run, before it
+	// reaches the merger: a crash there leaves it outside Pending.
+	unfed bool
+	// fatal and degraded record an unrecoverable failure; either one
+	// turns the executor into a drain.
+	fatal    error
+	degraded *degradeState
+
+	// obs enables per-message observation; qskip is the countdown to
+	// the next sampled queue observation (see queueObsEvery).
+	obs   bool
+	qskip int
+
+	recovery
+}
+
+// sinkBolt is a sink's bolt: it passes every event to its emit target,
+// which records it in the sink's output.
+var sinkBolt = BoltFunc(func(e stream.Event, emit func(stream.Event)) { emit(e) })
+
+// runBolt is the executor loop of every bolt and sink instance (see
+// boltExec).
+func runBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
+	x := &boltExec{
+		rc: rc, instance: instance, is: is, ef: ef, pol: pol, cg: cg, g: g,
+		em:      newEmitter(rc, instance, is, hash),
+		eosLeft: rc.nChannels,
+		obs:     is.ObsEnabled(),
+		qskip:   1,
+	}
+	x.em.faults = ef
+	if g != nil {
+		g.em = x.em
+		g.x = x
+		defer cg.leave(g)
+	}
+	switch {
+	case rc.isSink:
+		x.bolt = sinkBolt
+		x.emitFn = func(e stream.Event) { rc.appendSink(e) }
+	case g != nil && g.seed != nil:
+		// Spawned by a rescale: start from the re-sharded shard instead
+		// of the factory (the seed bolt was restored under the barrier).
+		x.bolt = g.seed.bolt
+		x.snap, x.hasSnap = g.seed.snap, len(g.seed.snap) > 0
+	default:
+		x.bolt = rc.bolt(instance)
+	}
+	if x.emitFn == nil {
+		x.emitFn = x.em.emit // one method-value closure per executor, not per event
+	}
+	if rc.aligned {
+		if pol.Enabled {
+			x.startRecovery()
+		}
+		x.merge = x.newMerge(rc.nChannels)
 	} else {
-		bolt = rc.bolt(instance)
+		x.chBolt, _ = x.bolt.(ChannelBolt)
+	}
+	if cp, ok := x.bolt.(ColProcessor); ok && !x.rec {
+		x.cp, x.inKind, x.outKind = cp, cp.InColKind(), cp.OutColKind()
 	}
 
-	emitFn := em.emit // one method-value closure per executor, not per event
-	deliver := func(e stream.Event) {
-		is.AddExecuted(1)
-		bolt.Next(e, emitFn)
-	}
-	chBolt, chAware := bolt.(ChannelBolt)
-	// Columnar receive state (cols.go): when the bolt consumes batches
-	// of the arriving kind, a whole batch goes through ProcessCols in
-	// one call; any other batch is delivered boxed row by row, so a
-	// bolt behind mixed or mismatched edges still sees every event.
-	cp, _ := bolt.(ColProcessor)
-	var inKind, outKind *stream.ColKind
-	if cp != nil {
-		inKind, outKind = cp.InColKind(), cp.OutColKind()
-	}
-	tryTyped := func(cols stream.Columns) bool {
-		if inKind == nil || cols.Kind() != inKind {
-			return false
-		}
-		is.AddExecuted(int64(cols.Len()))
-		var out stream.Columns
-		if outKind != nil {
-			out = outKind.Get()
-		}
-		cp.ProcessCols(cols, out)
-		if out != nil {
-			em.emitCols(out)
-		}
-		cols.Release()
-		return true
-	}
-	var merge *colMerge
-	if rc.aligned {
-		merge = newColMerge(rc.nChannels, deliver, func(c stream.Columns) {
-			if tryTyped(c) {
-				return
-			}
-			n := c.Len()
-			for i := 0; i < n; i++ {
-				deliver(c.EventAt(i))
-			}
-			c.Release()
-		})
-	}
-	// procCols consumes one arriving column batch: buffered by the
-	// aligned merger (delivered when its block completes), or processed
-	// immediately on raw inputs. ChannelBolts are never aligned-fed, so
-	// the raw fallback is the only place NextFrom sees unboxed rows.
-	procCols := func(ch int, cols stream.Columns) {
-		if merge != nil {
-			merge.NextCols(ch, cols)
-			return
-		}
-		if tryTyped(cols) {
-			return
-		}
-		n := cols.Len()
-		for i := 0; i < n; i++ {
-			e := cols.EventAt(i)
-			if chAware {
-				is.AddExecuted(1)
-				chBolt.NextFrom(ch, e, emitFn)
-			} else {
-				deliver(e)
-			}
-		}
-		cols.Release()
-	}
-	obs := is.ObsEnabled()
-	qskip := 1
-	eosLeft := rc.nChannels
 	inbox := rc.inboxes[instance]
-	depth := &rc.depths[instance]
-	var err error
-	dropping := false
-	for eosLeft > 0 {
-		bp := recvBatch(inbox, em)
+	for x.eosLeft > 0 && !x.retired {
+		bp := recvBatch(inbox, x.em)
 		if bp == nil {
 			continue // idle flush fired; retry the receive
 		}
 		batch := *bp
-		if obs {
-			depth.Add(-int64(len(batch)))
+		if x.obs {
+			rc.depths[instance].Add(-int64(len(batch)))
 		}
-		bi := 0
-		for bi < len(batch) {
-			m := batch[bi]
-			if m.eos {
-				eosLeft--
-				bi++
-				continue
-			}
-			if dropping {
-				if m.cols != nil {
-					is.AddDropped(int64(m.cols.Len()))
-					m.cols.Release()
-				} else if !m.ev.IsMarker {
-					is.AddDropped(1)
-				}
-				bi++
-				continue
-			}
-			if err != nil {
-				if m.cols != nil {
-					m.cols.Release()
-				}
-				bi++
-				continue // failed executor keeps draining to its EOS
-			}
-			if !obs {
-				// Fast path: process to the end of the vector (or the
-				// first panic) under one guard and one clock pair —
-				// the panic guard and busy-time reads amortize over
-				// the batch. bi advances before each message is
-				// processed, so a panic consumes the offending message
-				// and the drain above handles the remainder.
-				err = guard(rc.name, instance, func() {
-					t0 := time.Now()
-					defer func() { is.AddBusy(time.Since(t0)) }()
-					for bi < len(batch) {
-						m := batch[bi]
-						bi++
-						if m.eos {
-							eosLeft--
-							continue
-						}
-						if m.cols != nil {
-							if ef != nil {
-								for i, n := 0, m.cols.Len(); i < n; i++ {
-									ef.onEvent(rc.name, instance)
-								}
-							}
-							procCols(m.ch, m.cols)
-							continue
-						}
-						ef.onEvent(rc.name, instance)
-						switch {
-						case merge != nil:
-							merge.Next(m.ch, m.ev)
-						case chAware:
-							is.AddExecuted(1)
-							chBolt.NextFrom(m.ch, m.ev, emitFn)
-						default:
-							deliver(m.ev)
-						}
-					}
-				})
-			} else {
-				err = guard(rc.name, instance, func() {
-					bi++
-					if m.cols == nil {
-						ef.onEvent(rc.name, instance)
-					} else if ef != nil {
-						for i, n := 0, m.cols.Len(); i < n; i++ {
-							ef.onEvent(rc.name, instance)
-						}
-					}
-					t0 := time.Now()
-					now := t0.UnixNano()
-					em.now = now
-					if qskip--; qskip == 0 {
-						qskip = queueObsEvery
-						// Inbox depth in events, plus this vector's
-						// not-yet-processed remainder (the current
-						// message included).
-						is.ObserveQueueDepth(int(depth.Load()) + len(batch) - bi + 1)
-						if m.sent != 0 {
-							is.ObserveQueue(time.Duration(now - m.sent))
-						}
-					}
-					switch {
-					case m.cols != nil:
-						procCols(m.ch, m.cols)
-					case merge != nil:
-						merge.Next(m.ch, m.ev)
-					case chAware:
-						is.AddExecuted(1)
-						chBolt.NextFrom(m.ch, m.ev, emitFn)
-					default:
-						deliver(m.ev)
-					}
-					d := time.Since(t0)
-					is.AddBusy(d)
-					is.ObserveExec(t0, d)
-				})
-			}
-			if err != nil && pol.Enabled && pol.OnUnrecoverable == DropAndLog {
-				// No marker-cut recovery on this path (the bolt is not
-				// aligned, or cannot snapshot); degrade by dropping.
-				pol.logf("storm: %s[%d] failed without recovery, dropping its remaining input: %v", rc.name, instance, err)
-				err = nil
-				dropping = true
-			}
+		for bi := 0; bi < len(batch) && !x.retired; {
+			bi = x.run(batch, bi)
 		}
 		putBatch(bp)
+		if x.retired {
+			return nil // replaced by a rescale; nothing beyond the barrier exists
+		}
 		// Bound buffered-output residency even under a steady trickle
 		// of input (which keeps resetting recvBatch's idle timer).
-		em.tick()
+		x.em.tick()
 	}
-	if err == nil && !dropping {
-		err = guard(rc.name, instance, func() {
-			t0 := time.Now()
-			if obs {
-				em.now = t0.UnixNano()
+	x.finish()
+	if g != nil {
+		cg.leave(g)
+	}
+	x.em.eos()
+	return x.fatal
+}
+
+// newMerge builds an MRG merger over n channels delivering to this
+// executor.
+func (x *boltExec) newMerge(n int) *colMerge {
+	return newColMerge(n, x.deliver, func(c stream.Columns) { x.deliverCols(-1, c) })
+}
+
+// run consumes batch from index bi and returns the index of the first
+// message it did not consume. With observability off it runs to the
+// end of the vector (or the first panic) under one guard and one clock
+// pair; with it on, it consumes one message. bi advances before each
+// message is taken, so a panic consumes the offending message.
+func (x *boltExec) run(batch []message, bi int) int {
+	if m := &batch[bi]; m.eos || x.fatal != nil || x.degraded != nil {
+		if m.eos {
+			x.eosLeft--
+		} else {
+			x.drain(colEntry{m.ev, m.cols})
+		}
+		return bi + 1
+	}
+	err := guard(x.rc.name, x.instance, func() {
+		t0 := time.Now()
+		end := len(batch)
+		if x.obs {
+			end = bi + 1
+			x.observe(t0, &batch[bi], len(batch)-bi)
+		}
+		for bi < end && !x.retired {
+			m := &batch[bi]
+			bi++
+			if m.eos {
+				x.eosLeft--
+				continue
 			}
-			if merge != nil {
-				// Items of the final incomplete block (after the last
-				// marker on every channel) are delivered unaligned at
-				// shutdown.
-				merge.Trailing()
-			}
-			if f, ok := bolt.(Flusher); ok {
-				f.Flush(emitFn)
-			}
-			is.AddBusy(time.Since(t0))
-		})
-		if err != nil && pol.Enabled && pol.OnUnrecoverable == DropAndLog {
-			pol.logf("storm: %s[%d] failed at shutdown without recovery, dropping its trailing output: %v", rc.name, instance, err)
-			err = nil
+			x.take(m)
+		}
+		d := time.Since(t0)
+		x.is.AddBusy(d)
+		x.is.ObserveExec(t0, d)
+	})
+	if err != nil {
+		x.fail(err, &batch[bi-1])
+	}
+	return bi
+}
+
+// observe records the queue-side observations of one message about to
+// be taken: its stamp, sampled inbox depth (plus rest, the vector's
+// unconsumed remainder, this message included) and queue latency, and
+// under recovery the first arrival of each marker.
+func (x *boltExec) observe(t0 time.Time, m *message, rest int) {
+	now := t0.UnixNano()
+	x.em.now = now
+	if x.qskip--; x.qskip == 0 {
+		x.qskip = queueObsEvery
+		x.is.ObserveQueueDepth(int(x.rc.depths[x.instance].Load()) + rest)
+		if m.sent != 0 {
+			x.is.ObserveQueue(time.Duration(now - m.sent))
 		}
 	}
-	em.eos()
-	return err
+	if x.markerSeen != nil && m.cols == nil && m.ev.IsMarker {
+		if _, ok := x.markerSeen[m.ev.Marker.Seq]; !ok {
+			x.markerSeen[m.ev.Marker.Seq] = now
+		}
+	}
+}
+
+// take consumes one input message: its per-event fault hooks, then
+// the merger (aligned) or the bolt (raw).
+func (x *boltExec) take(m *message) {
+	it := colEntry{m.ev, m.cols}
+	if x.ef != nil {
+		x.unfed = true
+		for i := it.rows(); i > 0; i-- {
+			x.ef.onEvent(x.rc.name, x.instance)
+		}
+		x.unfed = false
+	}
+	switch {
+	case x.merge != nil:
+		x.merge.Next(m.ch, it)
+	case m.cols != nil:
+		x.deliverCols(m.ch, m.cols)
+		m.cols.Release()
+	case x.chBolt != nil:
+		x.is.AddExecuted(1)
+		x.chBolt.NextFrom(m.ch, m.ev, x.emitFn)
+	default:
+		x.deliver(m.ev)
+	}
+}
+
+// deliver hands one event (an item, or a merged marker) to the bolt.
+// Under recovery a merged marker completes the cut.
+func (x *boltExec) deliver(e stream.Event) {
+	x.is.AddExecuted(1)
+	x.bolt.Next(e, x.emitFn)
+	if x.rec && e.IsMarker {
+		x.completeCut(e.Marker.Seq)
+	}
+}
+
+// deliverCols hands one column batch to the bolt without releasing it:
+// whole through ProcessCols when the bolt consumes its kind, otherwise
+// row by row (with the channel index on raw ChannelBolt inputs; ch is
+// unused on aligned ones).
+func (x *boltExec) deliverCols(ch int, cols stream.Columns) {
+	n := cols.Len()
+	if x.inKind != nil && cols.Kind() == x.inKind {
+		x.is.AddExecuted(int64(n))
+		var out stream.Columns
+		if x.outKind != nil {
+			out = x.outKind.Get()
+		}
+		x.cp.ProcessCols(cols, out)
+		if out != nil {
+			x.em.emitCols(out)
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		if x.chBolt != nil {
+			x.is.AddExecuted(1)
+			x.chBolt.NextFrom(ch, cols.EventAt(i), x.emitFn)
+		} else {
+			x.deliver(cols.EventAt(i))
+		}
+	}
+}
+
+// fail handles a failure while taking m: recovery first when enabled,
+// then drop-and-log degradation or a fatal error.
+func (x *boltExec) fail(err error, m *message) {
+	unfed := x.unfed
+	x.unfed = false
+	var pending [][]colEntry
+	if x.rec {
+		pending = x.merge.Pending()
+		if unfed {
+			// The injected fault fired before m reached the merger;
+			// re-append it to keep per-channel order.
+			pending[m.ch] = append(pending[m.ch], colEntry{m.ev, m.cols})
+		}
+		if pending, err = x.recoverFrom(err, pending); err == nil {
+			return
+		}
+	}
+	x.giveUp(err, pending)
+}
+
+// giveUp ends normal processing after an unrecoverable failure:
+// degrade under DropAndLog (draining pending, the input left over from
+// a failed recovery), otherwise record the error as fatal.
+func (x *boltExec) giveUp(err error, pending [][]colEntry) {
+	if x.pol.Enabled && x.pol.OnUnrecoverable == DropAndLog {
+		x.degrade(err, pending)
+	} else {
+		x.fatal = err
+	}
+	// The executor stopped completing cuts: a rescale barrier can no
+	// longer form, and parked peers must not wait for one.
+	if x.g != nil {
+		x.cg.leave(x.g)
+	}
+}
+
+// drain consumes one input entry after an unrecoverable failure.
+func (x *boltExec) drain(it colEntry) {
+	if x.degraded != nil {
+		x.degraded.handle(it)
+	} else if it.cols != nil {
+		it.cols.Release()
+	}
+}
+
+// finish runs the end-of-stream step — the merger's trailing unaligned
+// items, the optional Flusher, and under recovery the final partial
+// block's flush — with the same crash recovery as live processing.
+func (x *boltExec) finish() {
+	for x.fatal == nil && x.degraded == nil {
+		err := guard(x.rc.name, x.instance, func() {
+			t0 := time.Now()
+			if x.obs {
+				x.em.now = t0.UnixNano()
+			}
+			if x.merge != nil {
+				x.merge.Trailing()
+			}
+			if f, ok := x.bolt.(Flusher); ok {
+				f.Flush(x.emitFn)
+			}
+			if x.rec {
+				x.flushOut()
+			}
+			x.is.AddBusy(time.Since(t0))
+		})
+		if err == nil {
+			return
+		}
+		x.pol.logf("storm: %s[%d] failed during shutdown: %v", x.rc.name, x.instance, err)
+		var pending [][]colEntry
+		if x.rec {
+			if pending, err = x.recoverFrom(err, x.merge.Pending()); err == nil {
+				continue
+			}
+		}
+		x.giveUp(err, pending)
+	}
 }
 
 // String renders the topology's structure for debugging.

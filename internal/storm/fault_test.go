@@ -210,31 +210,45 @@ func TestNonSnapshottableBoltAbortsByDefault(t *testing.T) {
 	}
 }
 
+// TestNonSnapshottableBoltCanDropAndLog crashes a bolt that cannot
+// snapshot, on aligned and on raw input: either way the degraded
+// executor must keep forwarding every marker exactly once.
 func TestNonSnapshottableBoltCanDropAndLog(t *testing.T) {
-	in := testStream(3, 8, 2)
-	top := NewTopology("fragile-drop")
-	top.AddSpout("src", 1, func(int) Spout { return SliceSpout(in) })
-	// Crash in the second block: the first block's items flush at the
-	// first marker cut and must survive degradation.
-	top.AddBolt("frail", 1, func(int) Bolt { return &fragileBolt{after: 10} }).ShuffleGrouping("src", true)
-	top.AddSink("sink", "frail")
-	top.SetRecovery(RecoveryPolicy{Enabled: true, OnUnrecoverable: DropAndLog})
-	res, err := top.Run()
-	if err != nil {
-		t.Fatalf("drop-and-log must keep the topology alive: %v", err)
-	}
-	_, _, dropped := res.Stats.Recovery()
-	if dropped == 0 {
-		t.Fatal("degraded executor must count dropped items")
-	}
-	items := 0
-	for _, e := range res.Sinks["sink"] {
-		if !e.IsMarker {
-			items++
+	const blocks = 5
+	in := testStream(blocks, 8, 2)
+	for _, aligned := range []bool{true, false} {
+		top := NewTopology("fragile-drop")
+		top.AddSpout("src", 1, func(int) Spout { return SliceSpout(in) })
+		// Crash in the second block: the first block's items flush at the
+		// first marker cut and must survive degradation.
+		top.AddBolt("frail", 1, func(int) Bolt { return &fragileBolt{after: 10} }).ShuffleGrouping("src", aligned)
+		top.AddSink("sink", "frail")
+		top.SetRecovery(RecoveryPolicy{Enabled: true, OnUnrecoverable: DropAndLog})
+		res, err := top.Run()
+		if err != nil {
+			t.Fatalf("aligned=%v: drop-and-log must keep the topology alive: %v", aligned, err)
 		}
-	}
-	if items == 0 {
-		t.Fatal("items processed before the failure must reach the sink")
+		_, _, dropped := res.Stats.Recovery()
+		if dropped == 0 {
+			t.Fatalf("aligned=%v: degraded executor must count dropped items", aligned)
+		}
+		items := 0
+		seqs := map[int64]int{}
+		for _, e := range res.Sinks["sink"] {
+			if e.IsMarker {
+				seqs[e.Marker.Seq]++
+			} else {
+				items++
+			}
+		}
+		if items == 0 {
+			t.Fatalf("aligned=%v: items processed before the failure must reach the sink", aligned)
+		}
+		for seq := int64(0); seq < blocks; seq++ {
+			if seqs[seq] != 1 {
+				t.Fatalf("aligned=%v: marker %d reached the sink %d times, want exactly once (all: %v)", aligned, seq, seqs[seq], seqs)
+			}
+		}
 	}
 }
 

@@ -4,30 +4,33 @@ import (
 	"fmt"
 	"time"
 
-	"datatrace/internal/metrics"
 	"datatrace/internal/stream"
 )
 
-// This file implements marker-cut recovery for bolt executors: the
-// runtime half of the paper's §1 claim that marker-delimited cuts
-// give a principled point for checkpointing and recovery.
+// This file is the recovery strategy of the bolt executor (runBolt):
+// the runtime half of the paper's §1 claim that marker-delimited cuts
+// give a principled point for checkpointing and recovery, plus the
+// drop-and-log degradation every bolt executor shares.
 //
 // An aligned bolt executor only mutates its operator instance when
 // the MRG merger flushes a complete block (items of block i from
 // every input channel, then marker i) — between cuts the instance is
-// untouched. The recovery discipline exploits exactly that:
+// untouched. The recovery strategy exploits exactly that:
 //
 //   - Emissions are buffered per block and sent downstream only when
 //     the block's cut completes, with every serialization performed
 //     before the first send. Downstream therefore never observes a
-//     partially processed block: the flush is transactional.
+//     partially processed block: the flush is transactional. Column
+//     batches reach the bolt row by row, so their output is buffered
+//     the same way.
 //   - At each completed cut the executor snapshots its instance
 //     (Recoverable — core.Snapshotter under the compile adapters)
 //     and records the round-robin cursors. The MRG merger itself is
-//     the replay buffer: it pops a block only after the block and its
-//     marker were fully delivered, so at any crash point
-//     MergeState.Pending is exactly the per-channel input received
-//     since each channel's last flushed block.
+//     the replay buffer: it pops a block, releasing its batches, only
+//     after the block and its marker were fully delivered, so at any
+//     crash point colMerge.Pending is exactly the per-channel input —
+//     boxed events and whole batches — received since each channel's
+//     last flushed block.
 //   - On a crash (a real bug or an injected fault) the executor
 //     builds a fresh instance, restores the last snapshot, rebuilds
 //     the merger by replaying the pending input, and resumes.
@@ -36,10 +39,11 @@ import (
 //     effectively exactly-once, and the run's output is
 //     trace-equivalent to a failure-free run.
 //
-// Executors whose bolts cannot snapshot (or whose restart budget is
-// exhausted) degrade per RecoveryPolicy.OnUnrecoverable: abort the
-// topology, or drop items and keep forwarding sequence-deduplicated
-// markers so downstream alignment still progresses.
+// Executors that cannot recover (no recovery policy, an unaligned or
+// unsnapshottable bolt, or an exhausted restart budget) degrade per
+// RecoveryPolicy.OnUnrecoverable: abort the topology, or drop items
+// and keep forwarding sequence-deduplicated markers so downstream
+// alignment still progresses.
 
 // Recoverable is the optional Bolt extension enabling marker-cut
 // recovery: a snapshot taken at a cut restores an equivalent bolt on
@@ -52,28 +56,10 @@ type Recoverable interface {
 	Restore([]byte) error
 }
 
-// recExec is the state of one recoverable bolt executor.
-type recExec struct {
-	rc       *runtimeComponent
-	instance int
-	is       *metrics.InstanceStats
-	em       *emitter
-	ef       *executorFaults
-	pol      RecoveryPolicy
-
-	// cg/g are the run's reconfiguration barrier and this executor's
-	// entry (rescale.go); g is nil when the run cannot host rescales.
-	cg *cutGate
-	g  *execGate
-	// eosLeft counts input channels still open; a rescale barrier that
-	// widens the input resets it (no channel has closed at a barrier).
-	eosLeft int
-	// retired is set when a rescale replaced this executor's component
-	// instance set: exit without finishing or propagating EOS.
-	retired bool
-
-	bolt  Bolt
-	merge *stream.MergeState
+// recovery is the marker-cut recovery state of a bolt executor; rec
+// is false (and the rest unused) unless the strategy is selected.
+type recovery struct {
+	rec bool
 	// outBuf holds the current block's pending output: bolt emissions
 	// (for sinks: delivered events), flushed at the cut.
 	outBuf []stream.Event
@@ -90,209 +76,18 @@ type recExec struct {
 	// completion includes any recovery time spent in between. nil when
 	// observability is disabled.
 	markerSeen map[int64]int64
-	// qskip is the countdown to the next sampled queue observation
-	// (see queueObsEvery).
-	qskip int
-	// deliverFn/bufEmitFn are the per-executor closures handed to the
-	// merger and the bolt (allocated once, not per event).
-	deliverFn func(stream.Event)
-	bufEmitFn func(stream.Event)
 }
 
-// runRecoverableBolt is the executor loop for aligned bolts when
-// recovery is enabled. Non-aligned bolts have no marker cuts to
-// recover to and keep the plain runBolt path.
-func runRecoverableBolt(rc *runtimeComponent, instance int, is *metrics.InstanceStats, hash func(any) int, ef *executorFaults, pol RecoveryPolicy, cg *cutGate, g *execGate) error {
-	x := &recExec{
-		rc:       rc,
-		instance: instance,
-		is:       is,
-		em:       newEmitter(rc, instance, is, hash),
-		ef:       ef,
-		pol:      pol,
-		cg:       cg,
-		g:        g,
-		merge:    stream.NewMergeState(rc.nChannels),
-		rrSnap:   make([]int, len(rc.subs)),
-	}
-	x.em.faults = ef
-	x.deliverFn = x.deliver
-	x.bufEmitFn = x.bufEmit
-	if is.ObsEnabled() {
+// startRecovery selects the recovery strategy: the bolt's emissions
+// go to the block buffer from here on.
+func (x *boltExec) startRecovery() {
+	x.rec = true
+	x.rrSnap = make([]int, len(x.rc.subs))
+	x.emitFn = func(e stream.Event) { x.outBuf = append(x.outBuf, e) }
+	if x.obs {
 		x.markerSeen = map[int64]int64{}
-		x.qskip = 1
-	}
-	if g != nil {
-		g.em = x.em
-		g.x = x
-		defer cg.leave(g)
-	}
-	switch {
-	case g != nil && g.seed != nil:
-		// Spawned by a rescale: start from the re-sharded shard instead
-		// of the factory (the seed bolt was restored under the barrier).
-		x.bolt = g.seed.bolt
-		x.snap = g.seed.snap
-		x.hasSnap = len(g.seed.snap) > 0
-	case !rc.isSink:
-		x.bolt = rc.bolt(instance)
-	}
-
-	var fatal error
-	var degraded *degradeState
-	obs := is.ObsEnabled()
-	x.eosLeft = rc.nChannels
-	inbox := rc.inboxes[instance]
-	depth := &rc.depths[instance]
-	// feed consumes one live event with full crash recovery. The
-	// recoverable path unboxes column batches through it row by row:
-	// the MRG merger doubles as the replay buffer here, and boxed
-	// events are what Pending captures and replayAll re-delivers, so
-	// keeping the merger boxed keeps every recovery invariant
-	// untouched (markers never ride in batches, so no cut can complete
-	// mid-batch either).
-	feed := func(ch int, ev stream.Event, sent int64, rest int) {
-		if fatal != nil {
-			return // failed executor keeps draining to its EOS
-		}
-		if degraded != nil {
-			degraded.handle(ev)
-			return
-		}
-		recorded, err := x.process(ch, ev, sent, rest)
-		if err != nil {
-			// Capture the un-flushed input before restart replaces the
-			// merger. An injected fault fires before the event reaches
-			// the merger, so re-append it to keep per-channel order.
-			pending := x.merge.Pending()
-			if !recorded {
-				pending[ch] = append(pending[ch], ev)
-			}
-			left, rerr := x.recoverFrom(err, pending)
-			if rerr != nil {
-				if pol.OnUnrecoverable == DropAndLog {
-					degraded = x.degrade(rerr, left)
-				} else {
-					fatal = rerr
-				}
-				// The executor stopped completing cuts: a rescale
-				// barrier can no longer form, and parked peers must
-				// not wait for one.
-				if g != nil {
-					cg.leave(g)
-				}
-			}
-		}
-	}
-	for x.eosLeft > 0 && !x.retired {
-		bp := recvBatch(inbox, x.em)
-		if bp == nil {
-			continue // idle flush fired; retry the receive
-		}
-		batch := *bp
-		if obs {
-			depth.Add(-int64(len(batch)))
-		}
-		for bi := range batch {
-			m := batch[bi]
-			if m.eos {
-				x.eosLeft--
-				continue
-			}
-			if x.retired {
-				break // replaced by a rescale; nothing beyond the barrier exists
-			}
-			if m.cols != nil {
-				cols := m.cols
-				for ri, n := 0, cols.Len(); ri < n; ri++ {
-					feed(m.ch, cols.EventAt(ri), m.sent, len(batch)-bi)
-				}
-				cols.Release()
-				continue
-			}
-			feed(m.ch, m.ev, m.sent, len(batch)-bi)
-		}
-		putBatch(bp)
-		if x.retired {
-			return nil
-		}
-		// Bound buffered-output residency under a steady input trickle
-		// (recvBatch's idle timer resets at every received vector).
-		x.em.tick()
-	}
-	if fatal == nil && degraded == nil {
-		if left, err := x.finish(); err != nil {
-			if pol.OnUnrecoverable == DropAndLog {
-				x.degrade(err, left)
-			} else {
-				fatal = err
-			}
-		}
-	}
-	if g != nil {
-		cg.leave(g)
-	}
-	x.em.eos()
-	return fatal
-}
-
-// process consumes one live event, converting an executor panic into
-// an error. sent is the message's send stamp (0 without observability)
-// and rest is the not-yet-processed remainder of the current input
-// vector, this event included (queue-depth accounting). recorded
-// reports whether the event reached the merger: it is false exactly
-// when the injected fault fired first (once merge.Next is entered the
-// event is appended before any consumer code that could panic runs).
-func (x *recExec) process(ch int, ev stream.Event, sent int64, rest int) (recorded bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("storm: executor %s[%d] panicked: %v", x.rc.name, x.instance, r)
-		}
-	}()
-	x.ef.onEvent(x.rc.name, x.instance)
-	recorded = true
-	t0 := time.Now()
-	if x.markerSeen != nil {
-		now := t0.UnixNano()
-		x.em.now = now
-		if x.qskip--; x.qskip == 0 {
-			x.qskip = queueObsEvery
-			// Inbox depth in events, plus the current vector's
-			// unprocessed remainder.
-			x.is.ObserveQueueDepth(int(x.rc.depths[x.instance].Load()) + rest)
-			if sent != 0 {
-				x.is.ObserveQueue(time.Duration(now - sent))
-			}
-		}
-		if ev.IsMarker {
-			if _, ok := x.markerSeen[ev.Marker.Seq]; !ok {
-				x.markerSeen[ev.Marker.Seq] = now
-			}
-		}
-	}
-	x.merge.Next(ch, ev, x.deliverFn)
-	d := time.Since(t0)
-	x.is.AddBusy(d)
-	x.is.ObserveExec(t0, d)
-	return recorded, nil
-}
-
-// deliver receives one merged event (item, or the cut-completing
-// marker) for the operator. It is the emit target of the MRG merger.
-func (x *recExec) deliver(e stream.Event) {
-	x.is.AddExecuted(1)
-	if x.rc.isSink {
-		x.outBuf = append(x.outBuf, e)
-	} else {
-		x.bolt.Next(e, x.bufEmitFn)
-	}
-	if e.IsMarker {
-		x.completeCut(e.Marker.Seq)
 	}
 }
-
-// bufEmit buffers one bolt emission until the block's cut completes.
-func (x *recExec) bufEmit(e stream.Event) { x.outBuf = append(x.outBuf, e) }
 
 // completeCut runs when the merger has flushed a complete block and
 // its marker through deliver: snapshot the instance at the cut, flush
@@ -305,17 +100,15 @@ func (x *recExec) bufEmit(e stream.Event) { x.outBuf = append(x.outBuf, e) }
 // trimming is needed here. seq is the cut's marker sequence number,
 // used to record the marker-cut lag (first marker arrival to this
 // commit, recovery time included).
-func (x *recExec) completeCut(seq int64) {
+func (x *boltExec) completeCut(seq int64) {
 	var snap []byte
 	snapped := x.rc.isSink
-	if !x.rc.isSink {
-		if r, ok := x.bolt.(Recoverable); ok {
-			b, err := r.Snapshot()
-			if err != nil {
-				panic(fmt.Sprintf("snapshot failed at marker cut: %v", err))
-			}
-			snap, snapped = b, true
+	if r, ok := x.bolt.(Recoverable); ok {
+		b, err := r.Snapshot()
+		if err != nil {
+			panic(fmt.Sprintf("snapshot failed at marker cut: %v", err))
 		}
+		snap, snapped = b, true
 	}
 	x.flushOut()
 	if snapped {
@@ -343,7 +136,7 @@ func (x *recExec) completeCut(seq int64) {
 
 // flushOut sends the buffered block downstream (or appends it to the
 // sink's collected output).
-func (x *recExec) flushOut() {
+func (x *boltExec) flushOut() {
 	if len(x.outBuf) == 0 {
 		return
 	}
@@ -360,11 +153,9 @@ func (x *recExec) flushOut() {
 // deterministic bug re-panics during replay) and returns (nil, nil)
 // on success, or the still-pending input with the terminal error so a
 // drop-and-log caller can drain it.
-func (x *recExec) recoverFrom(cause error, pending [][]stream.Event) ([][]stream.Event, error) {
-	if x.rc.bolt != nil {
-		if _, ok := x.bolt.(Recoverable); !ok && !x.rc.isSink {
-			return pending, fmt.Errorf("%w (bolt is not snapshottable)", cause)
-		}
+func (x *boltExec) recoverFrom(cause error, pending [][]colEntry) ([][]colEntry, error) {
+	if _, ok := x.bolt.(Recoverable); !ok && !x.rc.isSink {
+		return pending, fmt.Errorf("%w (bolt is not snapshottable)", cause)
 	}
 	for {
 		x.restarts++
@@ -396,7 +187,7 @@ func (x *recExec) recoverFrom(cause error, pending [][]stream.Event) ([][]stream
 // contract), and sendBlock ends in flushAll, which drains every
 // combining buffer before flushing, so both buffer layers are
 // provably empty at every restart point.
-func (x *recExec) restart() error {
+func (x *boltExec) restart() error {
 	if !x.rc.isSink {
 		b := x.rc.bolt(x.instance)
 		r, ok := b.(Recoverable)
@@ -411,7 +202,7 @@ func (x *recExec) restart() error {
 		x.bolt = b
 	}
 	x.em.rrNext = append(x.em.rrNext[:0], x.rrSnap...)
-	x.merge = stream.NewMergeState(x.rc.nChannels)
+	x.merge = x.newMerge(x.rc.nChannels)
 	x.outBuf = nil
 	return nil
 }
@@ -423,26 +214,23 @@ func (x *recExec) restart() error {
 // input still pending — what the fresh merger had absorbed without
 // flushing, followed by the not-yet-fed tails — so a further retry
 // replays everything since the last committed cut.
-func (x *recExec) replayAll(pending [][]stream.Event) ([][]stream.Event, error) {
+func (x *boltExec) replayAll(pending [][]colEntry) ([][]colEntry, error) {
 	fed := make([]int, len(pending))
 	err := guard(x.rc.name, x.instance, func() {
 		t0 := time.Now()
-		if x.markerSeen != nil {
+		if x.obs {
 			x.em.now = t0.UnixNano()
 		}
-		for {
-			progressed := false
+		for progressed := true; progressed; {
+			progressed = false
 			for ch := range pending {
 				if fed[ch] < len(pending[ch]) {
-					e := pending[ch][fed[ch]]
+					it := pending[ch][fed[ch]]
 					fed[ch]++
-					x.is.AddReplayed(1)
-					x.merge.Next(ch, e, x.deliverFn)
+					x.is.AddReplayed(int64(it.rows()))
+					x.merge.Next(ch, it)
 					progressed = true
 				}
-			}
-			if !progressed {
-				break
 			}
 		}
 		x.is.AddBusy(time.Since(t0))
@@ -457,84 +245,54 @@ func (x *recExec) replayAll(pending [][]stream.Event) ([][]stream.Event, error) 
 	return left, err
 }
 
-// finish runs the end-of-stream step — trailing unaligned items,
-// the optional Flusher, and the final partial block's flush — with
-// the same crash recovery as live processing. On terminal failure it
-// returns the still-pending input for drop-and-log draining.
-func (x *recExec) finish() ([][]stream.Event, error) {
-	for {
-		err := guard(x.rc.name, x.instance, func() {
-			t0 := time.Now()
-			if x.markerSeen != nil {
-				x.em.now = t0.UnixNano()
-			}
-			for _, e := range x.merge.Trailing() {
-				x.deliver(e)
-			}
-			if !x.rc.isSink {
-				if f, ok := x.bolt.(Flusher); ok {
-					f.Flush(x.bufEmitFn)
-				}
-			}
-			x.flushOut()
-			x.is.AddBusy(time.Since(t0))
-		})
-		if err == nil {
-			return nil, nil
-		}
-		x.pol.logf("storm: %s[%d] failed during shutdown: %v", x.rc.name, x.instance, err)
-		pending := x.merge.Pending()
-		if left, rerr := x.recoverFrom(err, pending); rerr != nil {
-			return left, rerr
-		}
-	}
-}
-
-// degradeState is an aligned executor after an unrecoverable failure
+// degradeState is a bolt executor after an unrecoverable failure
 // under the drop-and-log policy: items are dropped (and counted), and
 // markers are forwarded once each — deduplicated by sequence number
 // across the executor's input channels — so downstream marker
 // alignment keeps progressing.
 type degradeState struct {
-	x *recExec
+	x *boltExec
 	// seen[seq] counts input channels that delivered marker seq.
 	seen    map[int64]int
 	stopped bool
 }
 
 // degrade transitions the executor into drop-and-log mode, dropping
-// the pending input left over from the failed recovery and forwarding
+// the pending input left over from a failed recovery and forwarding
 // any marker that input already completed.
-func (x *recExec) degrade(cause error, pending [][]stream.Event) *degradeState {
+func (x *boltExec) degrade(cause error, pending [][]colEntry) {
 	x.pol.logf("storm: %s[%d] is unrecoverable, degrading to drop-and-log: %v", x.rc.name, x.instance, cause)
-	d := &degradeState{x: x, seen: map[int64]int{}}
+	x.degraded = &degradeState{x: x, seen: map[int64]int{}}
 	for _, buf := range pending {
-		for _, e := range buf {
-			d.handle(e)
+		for _, it := range buf {
+			x.degraded.handle(it)
 		}
 	}
 	x.outBuf = nil
-	return d
 }
 
-// handle processes one event in degraded mode.
-func (d *degradeState) handle(e stream.Event) {
-	if !e.IsMarker {
-		d.x.is.AddDropped(1)
+// handle processes one input entry in degraded mode.
+func (d *degradeState) handle(it colEntry) {
+	if it.cols != nil || !it.ev.IsMarker {
+		d.x.is.AddDropped(int64(it.rows()))
+		if it.cols != nil {
+			it.cols.Release()
+		}
 		return
 	}
-	d.seen[e.Marker.Seq]++
-	if d.seen[e.Marker.Seq] < d.x.rc.nChannels {
+	seq := it.ev.Marker.Seq
+	d.seen[seq]++
+	if d.seen[seq] < d.x.rc.nChannels {
 		return
 	}
-	delete(d.seen, e.Marker.Seq)
+	delete(d.seen, seq)
 	if d.stopped {
 		return
 	}
 	// Channels deliver markers in sequence order, so completions are
 	// in sequence order too; forward each completed marker once.
 	if err := guard(d.x.rc.name, d.x.instance, func() {
-		d.x.em.emit(e)
+		d.x.em.emit(it.ev)
 	}); err != nil {
 		d.x.pol.logf("storm: degraded %s[%d] stopped forwarding markers: %v", d.x.rc.name, d.x.instance, err)
 		d.stopped = true

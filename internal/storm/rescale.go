@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"datatrace/internal/metrics"
-	"datatrace/internal/stream"
 )
 
 // This file implements elastic rescaling with live state migration at
@@ -242,7 +241,7 @@ type execGate struct {
 	// x is nil for spouts. Only the owning goroutine and the rewiring
 	// of its own component read them.
 	em *emitter
-	x  *recExec
+	x  *boltExec
 	// seed is set on gates created by a rescale: the spawned executor
 	// starts from it instead of the component's bolt factory.
 	seed *boltSeed
@@ -618,10 +617,10 @@ func (cg *cutGate) refresh(g *execGate) {
 	if len(g.rc.subs) > 0 {
 		g.em.rebuildBufs()
 	}
-	if g.x != nil && g.rc.nChannels != g.x.merge.Channels() {
+	if g.x != nil && g.rc.nChannels != g.x.merge.n {
 		// A consumer of the target: new input width, and the merger is
 		// empty at the barrier, so a fresh one loses nothing.
-		g.x.merge = stream.NewMergeState(g.rc.nChannels)
+		g.x.merge = g.x.newMerge(g.rc.nChannels)
 		g.x.eosLeft = g.rc.nChannels
 	}
 }

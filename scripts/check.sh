@@ -64,9 +64,11 @@ echo "== columnar equivalence + chaos (typed batches vs boxed oracle, -race) =="
 # The columnar hot path against the boxed transport as its own oracle:
 # queries I-VI differentially at par x batch sweeps, the Query IV plan
 # assertion (typed edges actually selected — no vacuous pass), live
-# rescales at marker cuts on columnar edges, and a worker-kill chaos
-# run over the networked runtime with columnar frames.
-go test -race -run 'TestColumnarEquivalenceDifferential|TestColumnarPlanSelectsTypedEdges|TestColumnarRescaleAtCut|TestColumnarChaosWorkerKill' -count 1 ./internal/queries/
+# rescales at marker cuts on columnar edges, in-process crashes of
+# recoverable bolts fed column batches (the merger replays them whole),
+# and a worker-kill chaos run over the networked runtime with columnar
+# frames.
+go test -race -run 'TestColumnarEquivalenceDifferential|TestColumnarPlanSelectsTypedEdges|TestColumnarRescaleAtCut|TestColumnarCrashRecovery|TestColumnarChaosWorkerKill' -count 1 ./internal/queries/
 
 echo "== networked equivalence + chaos (multi-process localhost TCP, -race) =="
 # Real worker processes (re-execs of the race-instrumented test
@@ -219,6 +221,7 @@ go test -run xxx -fuzz 'FuzzReshardKeyedState$' -fuzztime "$FUZZTIME" ./internal
 go test -run xxx -fuzz 'FuzzHistogramRecord$' -fuzztime "$FUZZTIME" ./internal/metrics/
 go test -run xxx -fuzz 'FuzzBatchFlush$' -fuzztime "$FUZZTIME" ./internal/storm/
 go test -run xxx -fuzz 'FuzzCombinerFlush$' -fuzztime "$FUZZTIME" ./internal/storm/
+go test -run xxx -fuzz 'FuzzColMergeMatchesMergeState$' -fuzztime "$FUZZTIME" ./internal/storm/
 go test -run xxx -fuzz 'FuzzWireFrame$' -fuzztime "$FUZZTIME" ./internal/codec/
 
 echo "== ok =="
