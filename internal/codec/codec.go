@@ -3,54 +3,40 @@
 // every inter-worker connection (the paper's §2 pipeline exists
 // precisely because deserialization is the expensive stage worth
 // parallelizing). The storm runtime can be configured to encode and
-// decode every routed event (Topology.SetCodec), which both charges a
-// realistic per-hop cost and enforces that all keys and values are
-// actually serializable — as Apache Storm's Kryo boundary does.
+// decode every routed event (Topology.SetSerializer), which both
+// charges a realistic per-hop cost and enforces that all keys and
+// values are actually serializable — as Apache Storm's Kryo boundary
+// does.
 //
-// Encoding is gob-based: concrete key/value types are registered
-// once, and per-connection stream encoders amortize gob's type
-// descriptions the way a long-lived connection would.
+// One binary codec serves every boundary: the TCP frames of the
+// networked runtime (frame.go), the in-process Conn, the one-shot
+// Codec and the sink output workers stream to their coordinator.
+// Column batches are written by the typed per-kind code of
+// stream.ColKind; boxed keys and values by the code of their
+// registered type (Register), named once per connection and
+// referenced by a small index after that (wire.go).
 package codec
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"datatrace/internal/stream"
 )
 
-// wire is the serialized form of one event. Key and Value ride as
-// interfaces, so their concrete types must be registered.
-type wire struct {
-	IsMarker bool
-	Seq      int64
-	Ts       int64
-	Key      any
-	Value    any
-}
-
-// Codec encodes and decodes events. Safe for concurrent use; each
-// call uses a fresh gob encoder (see Conn for the amortized form).
+// Codec encodes and decodes events one at a time, each encoding self-
+// contained (see Conn for the amortized form). Safe for concurrent use.
 type Codec struct{}
 
 // New creates a codec.
 func New() *Codec { return &Codec{} }
 
-// Register declares a concrete key or value type, like gob.Register.
-// Register every type that flows through serialized connections.
-func Register(v any) { gob.Register(v) }
-
 // Encode serializes one event. An unregistered key or value type is
 // reported as ErrUnregisteredType.
 func (c *Codec) Encode(e stream.Event) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(toWire(e)); err != nil {
-		return nil, classify(fmt.Errorf("codec: encode %s: %w", e, err))
-	}
-	return buf.Bytes(), nil
+	w := FromEvent(e)
+	return newEncoder().appendEvent(nil, &w)
 }
 
 // Decode deserializes one event produced by Encode. An event whose
@@ -58,54 +44,83 @@ func (c *Codec) Encode(e stream.Event) ([]byte, error) {
 // reported as ErrUnregisteredType, so transports can degrade per the
 // drop-and-log policy instead of treating it as stream corruption.
 func (c *Codec) Decode(b []byte) (stream.Event, error) {
-	var w wire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return stream.Event{}, classify(fmt.Errorf("codec: decode: %w", err))
+	var w WireEvent
+	var dec decoder
+	rest, err := dec.readEvent(b, &w)
+	if err != nil {
+		return stream.Event{}, fmt.Errorf("codec: decode: %w", err)
 	}
-	return fromWire(w), nil
+	if len(rest) != 0 {
+		return stream.Event{}, fmt.Errorf("%w: %d of %d bytes unconsumed", ErrTrailingBytes, len(rest), len(b))
+	}
+	return w.Event(), nil
 }
 
-func toWire(e stream.Event) wire {
-	return wire{IsMarker: e.IsMarker, Seq: e.Marker.Seq, Ts: e.Marker.Timestamp, Key: e.Key, Value: e.Value}
+// AppendEvents appends the self-contained encoding of evs to b: their
+// count, then each event, with every type named at its first use.
+func (c *Codec) AppendEvents(b []byte, evs []stream.Event) ([]byte, error) {
+	enc := newEncoder()
+	b = binary.AppendUvarint(b, uint64(len(evs)))
+	for i := range evs {
+		w := FromEvent(evs[i])
+		var err error
+		if b, err = enc.appendEvent(b, &w); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
-func fromWire(w wire) stream.Event {
-	if w.IsMarker {
-		return stream.Mark(stream.Marker{Seq: w.Seq, Timestamp: w.Ts})
+// DecodeEvents decodes an AppendEvents payload, appending the events
+// to out.
+func (c *Codec) DecodeEvents(b []byte, out []stream.Event) ([]stream.Event, error) {
+	dec := &decoder{}
+	n, b, err := readCount(b, minEventBytes)
+	if err != nil {
+		return out, err
 	}
-	return stream.Item(w.Key, w.Value)
+	for ; n > 0; n-- {
+		var w WireEvent
+		if b, err = dec.readEvent(b, &w); err != nil {
+			return out, err
+		}
+		out = append(out, w.Event())
+	}
+	if len(b) != 0 {
+		return out, fmt.Errorf("%w: %d bytes after the events", ErrTrailingBytes, len(b))
+	}
+	return out, nil
 }
 
 // Conn is a long-lived encode/decode pair for one logical connection:
-// gob transmits each type's description once per Conn, as a TCP
-// connection between workers would. Conn is not safe for concurrent
-// use; give each connection its own.
+// each type is named once per Conn and referenced by index after
+// that, as on a TCP connection between workers.
 type Conn struct {
 	mu  sync.Mutex
-	buf bytes.Buffer
-	enc *gob.Encoder
-	dec *gob.Decoder
+	buf []byte
+	enc *encoder
+	dec *decoder
 }
 
 // NewConn creates a connected encoder/decoder pair (loopback).
-func NewConn() *Conn {
-	c := &Conn{}
-	c.enc = gob.NewEncoder(&c.buf)
-	c.dec = gob.NewDecoder(&c.buf)
-	return c
-}
+func NewConn() *Conn { return &Conn{enc: newEncoder(), dec: &decoder{}} }
 
 // RoundTrip encodes the event into the connection and decodes it back
 // — the cost one serialized hop pays.
 func (c *Conn) RoundTrip(e stream.Event) (stream.Event, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(toWire(e)); err != nil {
-		return stream.Event{}, classify(fmt.Errorf("codec: conn encode %s: %w", e, err))
+	w := FromEvent(e)
+	b, err := c.enc.appendEvent(c.buf[:0], &w)
+	if err != nil {
+		c.enc.rollback()
+		return stream.Event{}, fmt.Errorf("codec: conn encode %s: %w", e, err)
 	}
-	var w wire
-	if err := c.dec.Decode(&w); err != nil {
-		return stream.Event{}, classify(fmt.Errorf("codec: conn decode: %w", err))
+	c.enc.commit()
+	c.buf = b
+	var got WireEvent
+	if _, err := c.dec.readEvent(b, &got); err != nil {
+		return stream.Event{}, fmt.Errorf("codec: conn decode: %w", err)
 	}
-	return fromWire(w), nil
+	return got.Event(), nil
 }

@@ -67,20 +67,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestConnAmortizesTypeInfo(t *testing.T) {
-	conn := codec.NewConn()
-	for i := 0; i < 100; i++ {
-		e := stream.Item(int64(i), float64(i)*1.5)
-		got, err := conn.RoundTrip(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != e {
-			t.Fatalf("round trip changed %s into %s", e, got)
-		}
-	}
-}
-
 func TestDecodeGarbageFails(t *testing.T) {
 	c := codec.New()
 	if _, err := c.Decode([]byte("not gob")); err == nil {

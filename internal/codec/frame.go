@@ -2,12 +2,9 @@ package codec
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
-	"strings"
 
 	"datatrace/internal/stream"
 )
@@ -17,16 +14,16 @@ import (
 // carries one batched message vector (the pooled vectors of the
 // batched edge transport), addressed to one destination executor:
 //
-//	[4-byte big-endian payload length][gob-encoded Frame]
+//	[4-byte big-endian payload length][binary payload]
 //
-// The payload is produced by a persistent per-connection gob.Encoder,
-// so type descriptors are transmitted once per connection and
-// amortized over its lifetime, exactly as Conn amortizes them for the
-// in-process serialization boundary. A frame's payload is the byte
-// span of a single Encoder.Encode call (descriptors included when the
-// call introduces new types), so FrameDecoder's single Decode call
-// consumes it completely; leftover bytes mean a corrupted stream and
-// are rejected.
+// The payload layout is in wire.go. A column batch travels as its
+// kind, its row count and its two typed column slices, each written by
+// the kind's typed code; markers, end-of-stream notices and items of
+// non-columnar edges travel boxed. Each type or kind name crosses a
+// connection once, when it is first used, and is referenced by a
+// small index after that. A frame's payload is one Encode call, so
+// FrameDecoder's single Decode call consumes it completely; leftover
+// bytes mean a corrupted stream and are rejected.
 
 // MaxFrameBytes bounds a frame's payload. The bound is enforced
 // *before* any allocation, so a corrupted or hostile length prefix
@@ -45,25 +42,17 @@ var ErrShortFrame = errors.New("codec: truncated frame")
 // a FrameEncoder.
 var ErrTrailingBytes = errors.New("codec: trailing bytes after frame payload")
 
-// ErrUnregisteredType reports an event whose concrete key or value
-// type was never passed to Register. The networked transport treats
-// it as a per-event serialization failure — eligible for the
+// ErrCorruptFrame reports a payload that does not decode: a bad tag,
+// an unbound symbol, or a count or length larger than the bytes left.
+var ErrCorruptFrame = errors.New("codec: corrupt frame payload")
+
+// ErrUnregisteredType reports a key or value whose type was never
+// passed to Register, or a column kind whose key or value type has no
+// wire form — on either end of a connection. The encoder detects it
+// before any byte reaches the stream, so the networked transport
+// treats it as a per-event serialization failure — eligible for the
 // drop-and-log degradation policy — rather than a transport fault.
 var ErrUnregisteredType = errors.New("codec: unregistered key/value type")
-
-// classify wraps gob's untyped errors into this package's typed ones
-// where callers dispatch on the cause. gob exposes no error values of
-// its own, so the unregistered-interface case is recognized by its
-// message.
-func classify(err error) error {
-	if err == nil {
-		return nil
-	}
-	if strings.Contains(err.Error(), "not registered") {
-		return fmt.Errorf("%w: %v", ErrUnregisteredType, err)
-	}
-	return err
-}
 
 // WireEvent is the frame-level form of one stream event.
 type WireEvent struct {
@@ -88,17 +77,23 @@ func (w WireEvent) Event() stream.Event {
 }
 
 // WireCols is the frame-level form of one typed column batch: the
-// batch's kind name plus its two typed column slices riding gob
-// interface fields (the slice types are gob-registered when the kind
-// is created, on both ends, by building the same topology). Shipping
-// the columns as two slice values — instead of one WireEvent per row
-// — is what lets networked edges stay columnar: gob encodes a typed
-// slice with one type descriptor and no per-row interface header.
+// batch's kind name plus its two typed column slices ([]K, []V boxed
+// as any, see stream.Columns.Slices). Shipping the columns as two
+// slices — instead of one WireEvent per row — is what lets networked
+// edges stay columnar: the kind's typed code writes and reads the
+// rows with no per-row type information.
 type WireCols struct {
 	Kind string
 	Keys any
 	Vals any
+	// batch is the pooled batch a FrameDecoder decoded the columns
+	// into; Keys and Vals are its slices.
+	batch stream.Columns
 }
+
+// Batch returns the pooled batch a FrameDecoder decoded these columns
+// into; the caller owns it. nil for columns built by hand.
+func (w *WireCols) Batch() stream.Columns { return w.batch }
 
 // WireMessage is the frame-level form of one transport message: an
 // event tagged with its receiver-side channel, a typed column batch
@@ -122,166 +117,135 @@ type Frame struct {
 	Msgs []WireMessage
 }
 
-// FrameEncoder writes length-prefixed frames to w with a persistent
-// gob encoder. Not safe for concurrent use; give each connection its
-// own and serialize writers above it.
+// FrameEncoder writes length-prefixed frames to w, naming each type
+// and kind once per connection. Not safe for concurrent use; give each
+// connection its own and serialize writers above it.
 type FrameEncoder struct {
 	w   io.Writer
 	buf []byte
-	enc *gob.Encoder
-	// proven caches key/value types that already encoded successfully
-	// on this connection. A type not yet proven is trial-encoded with a
-	// throwaway encoder first, so an unregistered type fails *before*
-	// the persistent encoder's descriptor bookkeeping diverges from the
-	// stream — the connection survives the typed error and keeps
-	// working for well-registered traffic (the drop-and-log contract).
-	proven map[reflect.Type]bool
+	enc *encoder
 }
 
 // NewFrameEncoder creates an encoder writing to w.
 func NewFrameEncoder(w io.Writer) *FrameEncoder {
-	e := &FrameEncoder{w: w, proven: make(map[reflect.Type]bool)}
-	e.enc = gob.NewEncoder((*encBuf)(&e.buf))
-	return e
+	return &FrameEncoder{w: w, enc: newEncoder()}
 }
 
-// vet proves that v can ride an interface field of this connection.
-// The trial must itself go through an interface field — gob only
-// demands registration for interface-typed transmission. Proving is
-// per concrete type: a type whose *contents* can still vary in
-// encodability (say, a registered struct holding an any field) is
-// vetted only for the first value seen; such types do not occur on
-// this repository's wires.
-func (e *FrameEncoder) vet(v any) error {
-	if v == nil {
-		return nil
-	}
-	rt := reflect.TypeOf(v)
-	if e.proven[rt] {
-		return nil
-	}
-	if err := gob.NewEncoder(io.Discard).Encode(&WireEvent{Key: v}); err != nil {
-		return classify(fmt.Errorf("codec: encode frame: %w", err))
-	}
-	e.proven[rt] = true
-	return nil
-}
-
-// encBuf adapts the encoder's scratch slice to io.Writer so the gob
-// encoder appends into it without a bytes.Buffer's bookkeeping.
-type encBuf []byte
-
-func (b *encBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
-// Encode writes one frame: every novel key/value type is vetted, the
-// gob payload is staged in the scratch buffer, its length prefixed,
-// and both flushed to the underlying writer in order. A vet failure
-// (typed as ErrUnregisteredType where it applies) leaves both the
-// stream and the encoder state untouched.
+// Encode writes one frame: the payload is built behind a reserved
+// length prefix in the scratch buffer and the whole frame goes to the
+// writer in one Write. Encoding is transactional: a failure before the
+// write — ErrUnregisteredType for a key, value or kind with no wire
+// form, ErrFrameTooLarge — leaves both the stream and the
+// connection's symbol table untouched.
 func (e *FrameEncoder) Encode(f *Frame) error {
-	for i := range f.Msgs {
-		m := &f.Msgs[i]
-		if m.EOS || m.Ev.IsMarker {
-			continue
-		}
-		if err := e.vet(m.Ev.Key); err != nil {
-			return err
-		}
-		if err := e.vet(m.Ev.Value); err != nil {
-			return err
-		}
+	b, err := e.enc.appendFrame(append(e.buf[:0], 0, 0, 0, 0), f)
+	if err == nil && len(b)-4 > MaxFrameBytes {
+		err = fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(b)-4)
 	}
-	e.buf = e.buf[:0]
-	if err := e.enc.Encode(f); err != nil {
-		return classify(fmt.Errorf("codec: encode frame: %w", err))
+	if err != nil {
+		e.enc.rollback()
+		return fmt.Errorf("codec: encode frame: %w", err)
 	}
-	if len(e.buf) > MaxFrameBytes {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(e.buf))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(e.buf)))
-	if _, err := e.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("codec: write frame header: %w", err)
-	}
-	if _, err := e.w.Write(e.buf); err != nil {
-		return fmt.Errorf("codec: write frame payload: %w", err)
+	e.enc.commit()
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	e.buf = b[:0]
+	if _, err := e.w.Write(b); err != nil {
+		return fmt.Errorf("codec: write frame: %w", err)
 	}
 	return nil
 }
 
-// frameReader feeds exactly one frame's payload to the gob decoder.
-// It implements io.ByteReader so gob does not wrap it in a bufio
-// reader and read past the frame boundary.
-type frameReader struct {
-	buf []byte
-	off int
-}
-
-func (r *frameReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.buf) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.buf[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func (r *frameReader) ReadByte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, io.EOF
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-// FrameDecoder reads length-prefixed frames from r with a persistent
-// gob decoder. Not safe for concurrent use.
+// FrameDecoder reads length-prefixed frames from r. Not safe for
+// concurrent use.
 type FrameDecoder struct {
 	r       io.Reader
-	fr      frameReader
-	dec     *gob.Decoder
+	dec     *decoder
+	hdr     [4]byte
 	payload []byte
+	// cols are the WireCols the decoded frames point to, reused by
+	// every Decode.
+	cols []*WireCols
 }
 
 // NewFrameDecoder creates a decoder reading from r.
 func NewFrameDecoder(r io.Reader) *FrameDecoder {
-	d := &FrameDecoder{r: r}
-	d.dec = gob.NewDecoder(&d.fr)
-	return d
+	return &FrameDecoder{r: r, dec: &decoder{}}
 }
 
-// Decode reads the next frame into f. A clean end of stream (EOF at a
-// frame boundary) returns io.EOF; truncation inside a frame returns
-// ErrShortFrame; a length prefix over MaxFrameBytes returns
-// ErrFrameTooLarge before anything is allocated; payload bytes the
-// frame's value does not account for return ErrTrailingBytes.
+// Decode reads the next frame into f, reusing f.Msgs. A column batch
+// is decoded straight into a pooled batch of its kind, which the
+// caller owns (WireCols.Batch); the WireCols values themselves belong
+// to the decoder and are overwritten by the next Decode.
+//
+// A clean end of stream (EOF at a frame boundary) returns io.EOF;
+// truncation inside a frame returns ErrShortFrame; a length prefix
+// over MaxFrameBytes returns ErrFrameTooLarge before anything is
+// allocated; a malformed payload returns ErrCorruptFrame (a count or
+// length larger than the bytes left fails before anything is
+// allocated); a type or kind unknown on this side returns
+// ErrUnregisteredType; payload bytes the frame does not account for
+// return ErrTrailingBytes.
 func (d *FrameDecoder) Decode(f *Frame) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
 			return io.EOF
 		}
 		return fmt.Errorf("%w: %v", ErrShortFrame, err)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(d.hdr[:]))
 	if n > MaxFrameBytes {
 		return fmt.Errorf("%w: header claims %d bytes", ErrFrameTooLarge, n)
 	}
 	if err := d.readPayload(n); err != nil {
 		return err
 	}
-	d.fr.buf, d.fr.off = d.payload, 0
-	if err := d.dec.Decode(f); err != nil {
-		return classify(fmt.Errorf("codec: decode frame: %w", err))
-	}
-	if d.fr.off != len(d.fr.buf) {
-		return fmt.Errorf("%w: %d of %d bytes unconsumed", ErrTrailingBytes, len(d.fr.buf)-d.fr.off, len(d.fr.buf))
+	if err := d.decodePayload(f); err != nil {
+		return fmt.Errorf("codec: decode frame: %w", err)
 	}
 	return nil
+}
+
+func (d *FrameDecoder) decodePayload(f *Frame) error {
+	b := d.payload
+	dest, b, err := readInt32(b)
+	if err != nil {
+		return err
+	}
+	count, b, err := readCount(b, minMsgBytes)
+	if err != nil {
+		return err
+	}
+	f.Dest = int32(dest)
+	if cap(f.Msgs) < count {
+		f.Msgs = make([]WireMessage, count)
+	}
+	f.Msgs = f.Msgs[:count]
+	ncols := 0
+	for i := range f.Msgs {
+		if ncols == len(d.cols) {
+			d.cols = append(d.cols, &WireCols{})
+		}
+		if b, err = d.dec.readMsg(b, &f.Msgs[i], d.cols[ncols]); err != nil {
+			f.Msgs = f.Msgs[:i]
+			break
+		}
+		if f.Msgs[i].Cols != nil {
+			ncols++
+		}
+	}
+	if err == nil && len(b) != 0 {
+		err = fmt.Errorf("%w: %d of %d bytes unconsumed", ErrTrailingBytes, len(b), len(d.payload))
+	}
+	if err != nil {
+		// The batches decoded so far go back to their pools.
+		for i := range f.Msgs {
+			if c := f.Msgs[i].Cols; c != nil && c.batch != nil {
+				c.batch.Release()
+			}
+		}
+		f.Msgs = f.Msgs[:0]
+	}
+	return err
 }
 
 // readPayload fills d.payload with n bytes from the stream. The

@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
@@ -13,13 +12,15 @@ import (
 )
 
 func init() {
-	// The concrete key/value types the frame tests send through
-	// interface fields.
+	// The concrete key/value types the frame tests send boxed.
 	Register(int64(0))
 	Register("")
 	Register(false)
 	Register(stream.Unit{})
 }
+
+// testCols is the column kind mkMsgs batches rows of.
+var testCols = stream.ColKindFor[int64, string]()
 
 // mkMsgs deterministically derives a message vector from a byte
 // string — the structured half of the fuzz target and a convenient
@@ -29,7 +30,7 @@ func mkMsgs(data []byte) []WireMessage {
 	for i := 0; i+3 < len(data); i += 4 {
 		kind, ch, a, b := data[i], data[i+1], data[i+2], data[i+3]
 		m := WireMessage{Ch: int32(ch % 8), Sent: int64(a) * 1000}
-		switch kind % 4 {
+		switch kind % 5 {
 		case 0: // item with int64 key/value
 			m.Ev = WireEvent{Key: int64(a), Value: int64(b)}
 		case 1: // item with string/bool payload
@@ -39,10 +40,43 @@ func mkMsgs(data []byte) []WireMessage {
 		case 3: // end-of-stream notice
 			m.EOS = true
 			m.Sent = 0
+		case 4: // column batch of 1..4 rows
+			var keys []int64
+			var vals []string
+			for r := 0; r <= int(b%4); r++ {
+				keys = append(keys, -int64(a)<<(8*r))
+				vals = append(vals, string(data[i:i+r]))
+			}
+			m.Cols = &WireCols{Kind: testCols.Name(), Keys: keys, Vals: vals}
 		}
 		msgs = append(msgs, m)
 	}
 	return msgs
+}
+
+// plain strips a decoded frame of the decoder's pooled batches
+// (released) and WireCols (copied), so it compares with reflect.DeepEqual
+// against a hand-built frame and survives the next Decode.
+func plain(f Frame) Frame {
+	out := Frame{Dest: f.Dest}
+	if f.Msgs != nil {
+		out.Msgs = make([]WireMessage, len(f.Msgs))
+	}
+	for i, m := range f.Msgs {
+		if c := m.Cols; c != nil {
+			m.Cols = &WireCols{Kind: c.Kind, Keys: copySlice(c.Keys), Vals: copySlice(c.Vals)}
+			c.batch.Release()
+		}
+		out.Msgs[i] = m
+	}
+	return out
+}
+
+func copySlice(s any) any {
+	v := reflect.ValueOf(s)
+	c := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+	reflect.Copy(c, v)
+	return c.Interface()
 }
 
 // encodeFrames runs one connection's encoder over the frames.
@@ -72,7 +106,7 @@ func decodeFrames(t *testing.T, b []byte) []Frame {
 		if err != nil {
 			t.Fatalf("decode frame %d: %v", len(out), err)
 		}
-		out = append(out, f)
+		out = append(out, plain(f))
 	}
 }
 
@@ -107,8 +141,8 @@ func TestFrameRoundTripIdentity(t *testing.T) {
 	}
 	for i := range frames {
 		want := frames[i]
-		if want.Msgs == nil {
-			want.Msgs = got[i].Msgs // gob does not distinguish nil from empty
+		if len(want.Msgs) == 0 {
+			want.Msgs = got[i].Msgs // the wire does not distinguish nil from empty
 		}
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("frame %d mismatch:\n got %+v\nwant %+v", i, got[i], frames[i])
@@ -198,22 +232,34 @@ func TestEncodeUnregisteredTypeIsTyped(t *testing.T) {
 	}
 }
 
-// decodeSideA is registered under a unique name whose bytes the test
-// patches in the encoded stream, producing a stream that names a type
-// the decode side has never registered — the cross-process shape of
-// the error (sender and receiver binaries disagreeing on
-// registrations), reproduced in one process where gob's registry is
-// global.
+// decodeSideA is registered under its wire name, "codec.decodeSideA";
+// the test patches that name in the encoded bytes, producing a stream
+// that names a type the decode side has never registered — the
+// cross-process shape of the error (sender and receiver binaries
+// disagreeing on registrations), reproduced in one process where the
+// registry is global.
 type decodeSideA struct{ N int64 }
 
+func (d decodeSideA) AppendBinary(b []byte) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(b, uint64(d.N)), nil
+}
+
+func (d *decodeSideA) UnmarshalWire(b []byte) error {
+	if len(b) != 8 {
+		return errors.New("decodeSideA: want 8 bytes")
+	}
+	d.N = int64(binary.LittleEndian.Uint64(b))
+	return nil
+}
+
 func TestDecodeUnregisteredTypeIsTyped(t *testing.T) {
-	gob.RegisterName("codec.decodeSideAAA", decodeSideA{})
+	Register(decodeSideA{})
 	c := New()
 	b, err := c.Encode(stream.Item(stream.Unit{}, decodeSideA{N: 5}))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	patched := bytes.ReplaceAll(b, []byte("codec.decodeSideAAA"), []byte("codec.decodeSideZZZ"))
+	patched := bytes.ReplaceAll(b, []byte("codec.decodeSideA"), []byte("codec.decodeSideZ"))
 	if bytes.Equal(patched, b) {
 		t.Fatal("type name not found in encoded stream; patching failed")
 	}
@@ -271,11 +317,11 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		dec := NewFrameDecoder(bytes.NewReader(wire.Bytes()))
 		for i := range frames {
-			var got Frame
-			if err := dec.Decode(&got); err != nil {
+			var f Frame
+			if err := dec.Decode(&f); err != nil {
 				t.Fatalf("decode frame %d: %v", i, err)
 			}
-			want := frames[i]
+			got, want := plain(f), frames[i]
 			if len(want.Msgs) == 0 {
 				want.Msgs = got.Msgs
 			}

@@ -134,6 +134,11 @@ type UserFeatures struct {
 	F    Features
 }
 
+// UserFeatureMap maps users to their latest feature vectors: Query
+// VI's per-location clustering state and the partial aggregate its
+// combiner ships.
+type UserFeatureMap map[int64]Features
+
 // ClusterSummary is Query VI's periodic per-location output: a
 // k-means run over the location's user vectors.
 type ClusterSummary struct {

@@ -299,7 +299,7 @@ func featuresOp() core.Operator {
 // clusterOp is Query VI's third stage: per location, k-means over the
 // latest feature vector of each user, run at every marker.
 func clusterOp(k int) core.Operator {
-	type state = map[int64]Features
+	type state = UserFeatureMap
 	return &core.KeyedUnordered[int64, UserFeatures, int64, ClusterSummary, state, state]{
 		OpName: "Cluster",
 		InT:    stream.U("LOC", "Feat"),

@@ -37,8 +37,9 @@ type NetSpec struct {
 }
 
 // RegisterWireTypes registers every key and value type the six
-// queries put on the wire with the gob-based codec. Worker and
-// coordinator processes must call it before exchanging frames.
+// queries put on the wire boxed (column batches carry their kinds'
+// own wire code). Worker and coordinator processes must call it before
+// exchanging frames; calling it again is a no-op.
 func RegisterWireTypes() {
 	codec.Register(stream.Unit{})
 	codec.Register(int(0))
@@ -51,7 +52,7 @@ func RegisterWireTypes() {
 	codec.Register(Features{})
 	codec.Register(UserFeatures{})
 	codec.Register(ClusterSummary{})
-	codec.Register(map[int64]Features{}) // Cluster partial aggregates
+	codec.Register(UserFeatureMap{}) // Cluster partial aggregates
 }
 
 // normalize applies the same defaulting in the coordinator (before

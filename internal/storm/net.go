@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"datatrace/internal/codec"
-	"datatrace/internal/stream"
 )
 
 // This file is the data plane of the networked runtime: the TCP form
@@ -34,9 +33,9 @@ import (
 // executor, which may then degrade per the drop-and-log policy.
 
 // toWireMsgs converts one transport vector into frame messages,
-// reusing scratch. A column batch ships as its two typed column
-// slices plus the kind's wire name — one type descriptor per slice
-// type per connection, no per-row boxing on the wire.
+// reusing scratch. A column batch ships as its kind's name and its two
+// typed column slices, which the kind's typed code writes row by row —
+// no per-row boxing on the wire.
 func toWireMsgs(msgs []message, scratch []codec.WireMessage) []codec.WireMessage {
 	scratch = scratch[:0]
 	for i := range msgs {
@@ -54,27 +53,16 @@ func toWireMsgs(msgs []message, scratch []codec.WireMessage) []codec.WireMessage
 }
 
 // frameToBatch converts a received frame's messages into a pooled
-// transport vector, ready for an inbox channel. Decoded column slices
-// are wrapped in a pooled batch, taking ownership — gob allocates
-// fresh slices per decode. Both sides of a link build the same
-// topology, so an unknown kind name (or mistyped slices) is a
-// deployment bug, not a recoverable event fault: it panics the
-// dispatcher, failing the worker attempt.
+// transport vector, ready for an inbox channel. A column message's
+// batch was decoded straight into a pooled batch of its kind; the
+// vector takes ownership of it.
 func frameToBatch(ws []codec.WireMessage) *[]message {
 	bp := getBatch()
 	b := (*bp)[:0]
 	for i := range ws {
 		w := &ws[i]
 		if w.Cols != nil {
-			kind := stream.ColKindByName(w.Cols.Kind)
-			if kind == nil {
-				panic(fmt.Sprintf("net transport: received unknown column kind %q", w.Cols.Kind))
-			}
-			cols, err := kind.FromSlices(w.Cols.Keys, w.Cols.Vals)
-			if err != nil {
-				panic(fmt.Sprintf("net transport: %v", err))
-			}
-			b = append(b, message{ch: int(w.Ch), sent: w.Sent, cols: cols})
+			b = append(b, message{ch: int(w.Ch), sent: w.Sent, cols: w.Cols.Batch()})
 			continue
 		}
 		b = append(b, message{ch: int(w.Ch), eos: w.EOS, sent: w.Sent, ev: w.Ev.Event()})
@@ -86,7 +74,7 @@ func frameToBatch(ws []codec.WireMessage) *[]message {
 // netLink is one directed data connection to a peer worker. send is
 // called by every local executor that has a destination on the peer,
 // so the link serializes writers; the per-connection frame encoder
-// amortizes gob type descriptors across the link's lifetime.
+// names each type and column kind once across the link's lifetime.
 type netLink struct {
 	mu      sync.Mutex
 	conn    net.Conn
@@ -169,7 +157,9 @@ func (s netSink) deliver(b *[]message) {
 
 // Control-plane messages, gob-encoded over each worker's coordinator
 // connection. netEnvelope is the single top-level frame; exactly one
-// field is set per message.
+// field is set per message. Stream data inside it (netSinkData) is
+// already encoded by the codec, so gob sees only fixed structs and
+// bytes.
 type netEnvelope struct {
 	Hello    *netHello
 	Start    *netStart
@@ -194,11 +184,11 @@ type netStart struct {
 }
 
 // netSinkData streams a slice of one sink's collected output, in
-// arrival order. The coordinator treats each marker as a committed
-// cut boundary.
+// arrival order, as a codec.AppendEvents payload. The coordinator
+// treats each marker as a committed cut boundary.
 type netSinkData struct {
 	Sink   string
-	Events []codec.WireEvent
+	Events []byte
 }
 
 // netSummary is one executor's final counters.

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"datatrace/internal/codec"
 	"datatrace/internal/metrics"
 	"datatrace/internal/stream"
 )
@@ -180,7 +181,7 @@ type helloConn struct {
 // coordEvent is one occurrence the attempt loop reacts to.
 type coordEvent struct {
 	worker int
-	sink   *netSinkData
+	sink   *sinkSlice
 	done   *netDone
 	err    error
 	exit   bool
@@ -521,7 +522,12 @@ func (r *coordinator) runAttempt(attempt int) ([]netSummary, error) {
 func readCtrl(worker int, dec *gob.Decoder, evc chan<- coordEvent, stop <-chan struct{}) {
 	for {
 		var env netEnvelope
-		if err := dec.Decode(&env); err != nil {
+		err := dec.Decode(&env)
+		var evs []stream.Event
+		if err == nil && env.Sink != nil {
+			evs, err = codec.New().DecodeEvents(env.Sink.Events, nil)
+		}
+		if err != nil {
 			// EOF after Done is the normal hang-up; the attempt loop
 			// ignores late errors once the verdict is in.
 			select {
@@ -533,7 +539,7 @@ func readCtrl(worker int, dec *gob.Decoder, evc chan<- coordEvent, stop <-chan s
 		var ev coordEvent
 		switch {
 		case env.Sink != nil:
-			ev = coordEvent{worker: worker, sink: env.Sink}
+			ev = coordEvent{worker: worker, sink: &sinkSlice{sink: env.Sink.Sink, events: evs}}
 		case env.Done != nil:
 			ev = coordEvent{worker: worker, done: env.Done}
 		default:
@@ -550,18 +556,23 @@ func readCtrl(worker int, dec *gob.Decoder, evc chan<- coordEvent, stop <-chan s
 	}
 }
 
+// sinkSlice is one decoded netSinkData.
+type sinkSlice struct {
+	sink   string
+	events []stream.Event
+}
+
 // onSink folds one streamed slice of sink output into the committed/
 // pending split, committing at each marker and firing the kill plan
 // when its cut threshold is reached.
-func (r *coordinator) onSink(attempt int, data *netSinkData, procs []netProc, exited []bool) {
-	ss := r.sinks[data.Sink]
+func (r *coordinator) onSink(attempt int, data *sinkSlice, procs []netProc, exited []bool) {
+	ss := r.sinks[data.sink]
 	if ss == nil {
 		ss = &sinkState{}
-		r.sinks[data.Sink] = ss
-		r.sinkOrder = append(r.sinkOrder, data.Sink)
+		r.sinks[data.sink] = ss
+		r.sinkOrder = append(r.sinkOrder, data.sink)
 	}
-	for _, we := range data.Events {
-		e := we.Event()
+	for _, e := range data.events {
 		if ss.skip > 0 {
 			// Replay of an already-committed block: drop it, counting
 			// cut boundaries so the splice point lines up.

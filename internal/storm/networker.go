@@ -114,8 +114,8 @@ func (w *workerNet) dispatch(conn net.Conn) {
 	}
 	peer := int(binary.BigEndian.Uint32(hdr[:]))
 	dec := codec.NewFrameDecoder(br)
+	var f codec.Frame // reused, Msgs included: frameToBatch copies out of it
 	for {
-		var f codec.Frame
 		err := dec.Decode(&f)
 		if err == io.EOF {
 			return // peer finished and closed its link
@@ -159,13 +159,16 @@ func (c *ctrlWriter) send(env netEnvelope) error {
 type sinkTap struct {
 	sink string
 	cw   *ctrlWriter
-	buf  []codec.WireEvent
+	buf  []stream.Event
+	// data is the encoding scratch, reused by every flush: the control
+	// writer has copied it onto the connection when send returns.
+	data []byte
 }
 
 const sinkTapFlushAt = 512
 
 func (tap *sinkTap) observe(e stream.Event) {
-	tap.buf = append(tap.buf, codec.FromEvent(e))
+	tap.buf = append(tap.buf, e)
 	if e.IsMarker || len(tap.buf) >= sinkTapFlushAt {
 		tap.flush()
 	}
@@ -175,13 +178,19 @@ func (tap *sinkTap) flush() {
 	if len(tap.buf) == 0 {
 		return
 	}
-	events := make([]codec.WireEvent, len(tap.buf))
-	copy(events, tap.buf)
+	data, err := codec.New().AppendEvents(tap.data[:0], tap.buf)
+	clear(tap.buf)
 	tap.buf = tap.buf[:0]
+	if err != nil {
+		// A sink key or value type nobody registered: the slice is lost,
+		// as it was when the control-plane encoder rejected it.
+		return
+	}
+	tap.data = data
 	// A control-plane write failure means the coordinator is gone; the
 	// run's output no longer has a consumer and the coordinator (or its
 	// death) will take this process down, so the tap does not escalate.
-	_ = tap.cw.send(netEnvelope{Sink: &netSinkData{Sink: tap.sink, Events: events}})
+	_ = tap.cw.send(netEnvelope{Sink: &netSinkData{Sink: tap.sink, Events: data}})
 }
 
 // ServeWorker runs this process's share of the topology as one worker

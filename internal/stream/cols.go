@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"encoding/gob"
-	"fmt"
 	"reflect"
 	"strconv"
 	"sync"
@@ -45,7 +43,7 @@ type Columns interface {
 	// key or value does not have the kind's types, and on markers.
 	AppendEvent(e Event)
 	// Slices returns the underlying typed slices ([]K, []V) boxed as
-	// any, for wire encoding.
+	// any, for wire encoding (ColKind.AppendWire).
 	Slices() (keys, vals any)
 	// Release resets the batch and returns it to the kind's pool. The
 	// caller must not touch the batch (or aliases of its slices)
@@ -113,10 +111,10 @@ func (c *Cols[K, V]) Release() {
 // edge-type selection and the transport's batch matching are pointer
 // comparisons.
 type ColKind struct {
-	name       string
-	key, val   reflect.Type
-	pool       sync.Pool
-	fromSlices func(keys, vals any) (Columns, error)
+	name     string
+	key, val reflect.Type
+	pool     sync.Pool
+	wire     colWire
 }
 
 // Name returns the kind's wire name, e.g. "cols[int64,stream.Unit]".
@@ -134,21 +132,14 @@ func (k *ColKind) String() string { return k.name }
 // Get returns an empty pooled batch of this kind.
 func (k *ColKind) Get() Columns { return k.pool.Get().(Columns) }
 
-// FromSlices wraps decoded typed slices ([]K, []V boxed as any) in a
-// pooled batch, taking ownership of the slices. It is the wire-decode
-// counterpart of Columns.Slices.
-func (k *ColKind) FromSlices(keys, vals any) (Columns, error) {
-	return k.fromSlices(keys, vals)
-}
-
 var (
 	colKinds       sync.Map // [2]reflect.Type -> *ColKind
 	colKindsByName sync.Map // string -> *ColKind
 )
 
 // ColKindFor returns the canonical kind for the type pair (K, V),
-// creating (and gob-registering the slice types of) the kind on first
-// use. Calls with the same type arguments return the same pointer.
+// creating the kind, its pool and its wire code on first use. Calls
+// with the same type arguments return the same pointer.
 func ColKindFor[K, V any]() *ColKind {
 	kt := reflect.TypeOf((*K)(nil)).Elem()
 	vt := reflect.TypeOf((*V)(nil)).Elem()
@@ -161,11 +152,8 @@ func ColKindFor[K, V any]() *ColKind {
 		return prev.(*ColKind)
 	}
 	// This goroutine won the canonical slot: publish the wire-name
-	// lookup and register the slice types so gob can carry them inside
-	// interface-typed frame fields.
+	// lookup.
 	colKindsByName.Store(k.name, k)
-	gob.Register([]K{})
-	gob.Register([]V{})
 	return k
 }
 
@@ -188,22 +176,7 @@ func newColKind[K, V any](kt, vt reflect.Type) *ColKind {
 	}
 	hash := keyHashFor[K]()
 	k.pool.New = func() any { return &Cols[K, V]{kind: k, hash: hash} }
-	k.fromSlices = func(keys, vals any) (Columns, error) {
-		ks, ok := keys.([]K)
-		if !ok {
-			return nil, fmt.Errorf("stream: %s key slice is %T, want []%s", k.name, keys, typeName(kt))
-		}
-		vs, ok := vals.([]V)
-		if !ok {
-			return nil, fmt.Errorf("stream: %s value slice is %T, want []%s", k.name, vals, typeName(vt))
-		}
-		if len(ks) != len(vs) {
-			return nil, fmt.Errorf("stream: %s ragged columns: %d keys, %d values", k.name, len(ks), len(vs))
-		}
-		c := k.pool.Get().(*Cols[K, V])
-		c.Keys, c.Vals = ks, vs
-		return c, nil
-	}
+	k.wire = newColWire[K, V](k)
 	return k
 }
 

@@ -223,5 +223,6 @@ go test -run xxx -fuzz 'FuzzBatchFlush$' -fuzztime "$FUZZTIME" ./internal/storm/
 go test -run xxx -fuzz 'FuzzCombinerFlush$' -fuzztime "$FUZZTIME" ./internal/storm/
 go test -run xxx -fuzz 'FuzzColMergeMatchesMergeState$' -fuzztime "$FUZZTIME" ./internal/storm/
 go test -run xxx -fuzz 'FuzzWireFrame$' -fuzztime "$FUZZTIME" ./internal/codec/
+go test -run xxx -fuzz 'FuzzFrameDecoderBytes$' -fuzztime "$FUZZTIME" ./internal/codec/
 
 echo "== ok =="
